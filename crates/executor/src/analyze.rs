@@ -27,9 +27,9 @@
 //!   product bound otherwise.
 //!
 //! The row/NDV bounds are what the physical planner's partitioning
-//! verdicts consume (`plan::lower::estimated_rows` and the agg/join
-//! partition gates), replacing the raw "pass filters through
-//! undiminished" upper bounds that ROADMAP direction #5 calls out.
+//! verdicts consume (the agg/join partition gates in `plan::physical`),
+//! replacing the raw "pass filters through undiminished" upper bounds
+//! that ROADMAP direction #5 calls out.
 //!
 //! **Soundness contract:** every fact is an *over*-approximation — bounds
 //! may widen but never lie. For any plan whose execution completes, every
@@ -43,7 +43,9 @@
 //! The fuzzer checks this contract on every generated plan
 //! (`ma_tpch::fuzz`), and `verify` runs the pass as its third phase.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 use ma_vector::{DataType, StatsDomain};
 
@@ -380,21 +382,42 @@ impl Analysis {
 /// Runs the abstract interpreter over `plan`.
 pub fn analyze(plan: &LogicalPlan) -> Analysis {
     let mut errors = Vec::new();
-    let facts = node_facts(plan, &mut errors);
+    let facts = node_facts(plan, &mut errors, None);
     Analysis { facts, errors }
 }
 
-/// Row-count upper bound for a (sub)plan — the planner's `estimated_rows`
-/// source. Findings are not collected here; `verify` reports them.
-pub(crate) fn row_bound(plan: &LogicalPlan) -> usize {
-    node_facts(plan, &mut Vec::new()).rows
+/// The row bound of every node of one plan, derived in a single
+/// bottom-up pass, so the physical planner reads each node's bound
+/// without re-analyzing its subtree. An aggregation's row bound is its
+/// proven group count.
+pub(crate) struct RowBounds<'a> {
+    nodes: HashMap<*const LogicalPlan, usize>,
+    plan: PhantomData<&'a LogicalPlan>,
 }
 
-/// Upper bound on the number of groups an aggregation over `input` by
-/// `keys` can produce: `min(row bound, Π key NDV)`.
-pub(crate) fn group_bound(input: &LogicalPlan, keys: &[usize]) -> usize {
-    let facts = node_facts(input, &mut Vec::new());
-    group_bound_from(&facts, keys)
+impl<'a> RowBounds<'a> {
+    /// Analyzes every node of `plan`.
+    pub(crate) fn of(plan: &'a LogicalPlan) -> Self {
+        Self::with_findings(plan).0
+    }
+
+    /// [`RowBounds::of`] plus the findings [`analyze`] reports for `plan`,
+    /// from the same single pass.
+    pub(crate) fn with_findings(plan: &'a LogicalPlan) -> (Self, Vec<AnalysisError>) {
+        let (mut nodes, mut errors) = (HashMap::new(), Vec::new());
+        node_facts(plan, &mut errors, Some(&mut nodes));
+        let bounds = RowBounds {
+            nodes,
+            plan: PhantomData,
+        };
+        (bounds, errors)
+    }
+
+    /// Row-count upper bound for the subplan rooted at `node`, a node of
+    /// the analyzed plan.
+    pub(crate) fn rows(&self, node: &LogicalPlan) -> usize {
+        self.nodes[&std::ptr::from_ref(node)]
+    }
 }
 
 fn group_bound_from(input: &Facts, keys: &[usize]) -> usize {
@@ -408,7 +431,12 @@ fn group_bound_from(input: &Facts, keys: &[usize]) -> usize {
 
 // --- per-node transfer functions -------------------------------------------
 
-fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
+/// `memo`, when given, receives the row bound of every node analyzed.
+fn node_facts(
+    plan: &LogicalPlan,
+    errs: &mut Vec<AnalysisError>,
+    mut memo: Option<&mut HashMap<*const LogicalPlan, usize>>,
+) -> Facts {
     let facts = match plan {
         LogicalPlan::Scan {
             table,
@@ -457,7 +485,7 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         LogicalPlan::Filter {
             input, pred, label, ..
         } => {
-            let mut facts = node_facts(input, errs);
+            let mut facts = node_facts(input, errs, memo.as_deref_mut());
             let schema = input.schema();
             let newly_empty = narrow_pred(pred, &mut facts.cols);
             if let Some(col) = newly_empty {
@@ -479,7 +507,7 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
             label,
             ..
         } => {
-            let in_facts = node_facts(input, errs);
+            let in_facts = node_facts(input, errs, memo.as_deref_mut());
             let cols = items
                 .iter()
                 .map(|item| match item {
@@ -500,7 +528,7 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
             label,
             ..
         } => {
-            let in_facts = node_facts(input, errs);
+            let in_facts = node_facts(input, errs, memo.as_deref_mut());
             let rows = group_bound_from(&in_facts, keys);
             let mut cols: Vec<ColFact> = keys
                 .iter()
@@ -522,7 +550,7 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         LogicalPlan::StreamAgg {
             input, aggs, label, ..
         } => {
-            let in_facts = node_facts(input, errs);
+            let in_facts = node_facts(input, errs, memo.as_deref_mut());
             let cols = aggs
                 .iter()
                 .map(|agg| agg_fact(agg, &in_facts, /*grouped=*/ false, label, errs))
@@ -542,8 +570,8 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
             defaults,
             ..
         } => {
-            let mut build_f = node_facts(build, errs);
-            let mut probe_f = node_facts(probe, errs);
+            let mut build_f = node_facts(build, errs, memo.as_deref_mut());
+            let mut probe_f = node_facts(probe, errs, memo.as_deref_mut());
             let build_distinct = build_keys
                 .iter()
                 .any(|&k| build_f.cols.get(k).is_some_and(|c| c.distinct));
@@ -614,8 +642,8 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
             payload,
             ..
         } => {
-            let mut left_f = node_facts(left, errs);
-            let mut right_f = node_facts(right, errs);
+            let mut left_f = node_facts(left, errs, memo.as_deref_mut());
+            let mut right_f = node_facts(right, errs, memo.as_deref_mut());
             let left_distinct = left_f.cols[*left_key].distinct;
             let inter = left_f.cols[*left_key]
                 .domain
@@ -647,14 +675,18 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         }
 
         LogicalPlan::Sort { input, limit, .. } => {
-            let mut facts = node_facts(input, errs);
+            let mut facts = node_facts(input, errs, memo.as_deref_mut());
             if let Some(n) = limit {
                 facts.rows = facts.rows.min(*n);
             }
             facts
         }
     };
-    facts.normalize()
+    let facts = facts.normalize();
+    if let Some(memo) = memo {
+        memo.insert(std::ptr::from_ref(plan), facts.rows);
+    }
+    facts
 }
 
 // --- predicate narrowing ---------------------------------------------------
@@ -1310,7 +1342,7 @@ pub fn render(plan: &LogicalPlan) -> String {
 
 fn render_node(plan: &LogicalPlan, depth: usize, out: &mut String) {
     use std::fmt::Write;
-    let facts = node_facts(plan, &mut Vec::new());
+    let facts = node_facts(plan, &mut Vec::new(), None);
     let pad = "  ".repeat(depth);
     let name = match plan {
         LogicalPlan::Scan { table, .. } => format!("Scan {}", table.name()),
@@ -1336,20 +1368,7 @@ fn render_node(plan: &LogicalPlan, depth: usize, out: &mut String) {
             if fact.distinct { " distinct" } else { "" }
         );
     }
-    for child in children(plan) {
+    for child in plan.inputs() {
         render_node(child, depth + 1, out);
-    }
-}
-
-fn children(plan: &LogicalPlan) -> Vec<&LogicalPlan> {
-    match plan {
-        LogicalPlan::Scan { .. } => vec![],
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::HashAgg { input, .. }
-        | LogicalPlan::StreamAgg { input, .. }
-        | LogicalPlan::Sort { input, .. } => vec![input],
-        LogicalPlan::HashJoin { build, probe, .. } => vec![build, probe],
-        LogicalPlan::MergeJoin { left, right, .. } => vec![left, right],
     }
 }

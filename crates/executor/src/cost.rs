@@ -4,9 +4,13 @@
 //! expression safety), this pass proves *resource* facts: for every
 //! physical operator instance the plan will lower to, an upper bound on
 //! its peak resident bytes, plus a coarse work bound (tuples × per-op
-//! cost). The walk mirrors the physical planner's decisions — partition
-//! verdicts, morsel sharding, exchange shapes — so the bounds describe
-//! the pipeline [`crate::plan::lower`] actually builds.
+//! cost). This module owns the formulas (`op_bounds`,
+//! `exchange_bounds`); the physical planner
+//! ([`crate::plan::plan_physical`]) stores their results on each
+//! [`PhysPlan`] node, and [`cost()`] folds those nodes into one row each —
+//! so the rows describe exactly the pipeline [`crate::plan::lower`]
+//! builds, and a sharded chain inlined into a partition lane gets no
+//! exchange row of its own.
 //!
 //! The byte model is deliberately conservative (DESIGN.md §12 states the
 //! roll-up rules and the soundness argument):
@@ -26,8 +30,9 @@
 //!
 //! The per-query peak is the *sum* of all per-operator stage bounds, as
 //! if every operator held its maximum simultaneously — pessimistic, but
-//! sound without liveness reasoning. Each bound is also handed to the
-//! lowered operator's [`crate::adaptive::MemTracker`] slot, and the
+//! sound without liveness reasoning. `lower` hands each node's stored
+//! bound to the operator's [`crate::adaptive::MemTracker`] slot (under
+//! the same label as its row), and the
 //! fuzzer's byte-accounting oracle re-checks `actual ≤ bound` on every
 //! execution (`crate::fuzz`).
 //!
@@ -38,12 +43,11 @@
 use ma_primitives::BloomFilter;
 use ma_vector::{Column, DataType, EncColumn, Encoding, Table};
 
-use crate::analyze;
+use crate::analyze::RowBounds;
 use crate::config::ExecConfig;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{AggSpec, ProjItem};
-use crate::plan::lower::{agg_partition_count, join_partition_count, shardable_chain};
-use crate::plan::LogicalPlan;
+use crate::plan::{plan_physical, LogicalPlan, PhysPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
 /// (large enough to dwarf any real budget, small enough that downstream
@@ -120,7 +124,7 @@ impl std::fmt::Display for CostFinding {
 /// The full report: per-stage bounds, the roll-up, and findings.
 #[derive(Debug, Clone)]
 pub struct CostReport {
-    /// Per-stage bounds, in plan walk order (top-down).
+    /// Per-stage bounds, in physical-plan id order (top-down).
     pub ops: Vec<OpCost>,
     /// Whole-query peak-byte bound (sum of all stage bounds).
     pub peak_bytes: u64,
@@ -132,8 +136,23 @@ pub struct CostReport {
 
 /// Runs the memory/cost pass over a logical plan under `cfg`.
 pub fn cost(plan: &LogicalPlan, cfg: &ExecConfig) -> CostReport {
+    cost_of(&plan_physical(plan, cfg), cfg)
+}
+
+/// Folds a physical plan's nodes, in id order, into per-stage rows and
+/// checks the roll-up against `cfg`'s budget.
+pub(crate) fn cost_of(phys: &PhysPlan<'_>, cfg: &ExecConfig) -> CostReport {
     let mut ops = Vec::new();
-    walk(plan, cfg, false, true, &mut ops);
+    phys.visit(&mut |p| {
+        ops.push(OpCost {
+            label: p.label.clone(),
+            kind: p.kind.name(),
+            instances: p.instances,
+            per_instance_bytes: p.per_instance_bytes,
+            bytes: p.per_instance_bytes.saturating_mul(p.instances as u64),
+            work: p.work,
+        });
+    });
     let peak_bytes = ops.iter().fold(0u64, |a, o| a.saturating_add(o.bytes));
     let total_work = ops.iter().fold(0u64, |a, o| a.saturating_add(o.work));
     let mut findings = Vec::new();
@@ -236,7 +255,7 @@ pub(crate) fn pick_partitions(demand: usize, threshold: usize, cap: usize) -> us
 /// columns are their scalar width; `Str` columns are the widest value's
 /// byte length plus an 8-byte view, anchored at scans by
 /// [`ma_vector::ColumnStats::max_bytes`] and carried structurally.
-pub(crate) fn col_widths(plan: &LogicalPlan) -> Vec<u64> {
+fn col_widths(plan: &LogicalPlan) -> Vec<u64> {
     col_widths_with(plan, false)
 }
 
@@ -248,7 +267,7 @@ pub(crate) fn col_widths(plan: &LogicalPlan) -> Vec<u64> {
 /// values and keep their raw width. Used only to *weight partition
 /// demand* (DESIGN.md §13); the soundness-critical byte bounds keep the
 /// conservative raw widths.
-pub(crate) fn enc_col_widths(plan: &LogicalPlan) -> Vec<u64> {
+fn enc_col_widths(plan: &LogicalPlan) -> Vec<u64> {
     col_widths_with(plan, true)
 }
 
@@ -347,7 +366,7 @@ fn col_widths_with(plan: &LogicalPlan, enc: bool) -> Vec<u64> {
 }
 
 /// Total stored bytes of one row of a node's output.
-pub(crate) fn row_width(plan: &LogicalPlan) -> u64 {
+fn row_width(plan: &LogicalPlan) -> u64 {
     col_widths(plan)
         .iter()
         .fold(0u64, |a, &b| a.saturating_add(b))
@@ -385,7 +404,7 @@ pub(crate) fn enc_weighted_demand(
 }
 
 // ---------------------------------------------------------------------------
-// per-operator bound helpers (shared with `plan::lower`)
+// per-operator bound helpers
 // ---------------------------------------------------------------------------
 
 /// Open-addressing capacity for `n` entries at 50% load with the group
@@ -402,10 +421,9 @@ fn pow2_cap(n: usize) -> u64 {
 /// load), serialized key storage for the string-table path, one key
 /// builder per group column, accumulators (16 bytes for `SumI64`'s
 /// 128-bit sums, 8 otherwise), plus one emitted output copy. All terms
-/// scale with the analyzer's group bound, which every partition may in
-/// the worst case receive entirely.
-pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[AggSpec]) -> u64 {
-    let g = analyze::group_bound(input, keys);
+/// scale with the analyzer's group bound `g`, which every partition may
+/// in the worst case receive entirely.
+fn agg_instance_bound(g: usize, input: &LogicalPlan, keys: &[usize], aggs: &[AggSpec]) -> u64 {
     let g64 = g.min(usize::MAX >> 8) as u64;
     let w_in = col_widths(input);
     let key_types: Vec<DataType> = keys
@@ -459,15 +477,10 @@ pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[Ag
 }
 
 /// Peak resident bytes proven for **one** [`crate::ops::HashJoin`]
-/// instance's build side holding up to the build plan's row bound: key
+/// instance's build side holding up to the build plan's row bound `r`: key
 /// columns (8 bytes per key per row), the payload row store, and the
 /// `finish` structures (row hashes, chain, head slots, Bloom filter).
-pub(crate) fn join_build_bound(
-    build: &LogicalPlan,
-    build_keys: &[usize],
-    payload: &[usize],
-) -> u64 {
-    let r = analyze::row_bound(build);
+fn join_build_bound(r: usize, build: &LogicalPlan, build_keys: &[usize], payload: &[usize]) -> u64 {
     let r64 = r.min(usize::MAX >> 8) as u64;
     let w_b = col_widths(build);
     let pay_w = payload.iter().fold(0u64, |a, &i| a.saturating_add(w_b[i]));
@@ -490,11 +503,11 @@ pub(crate) fn join_build_bound(
         .saturating_add(bloom)
 }
 
-/// Peak resident bytes proven for a [`crate::ops::Sort`] over `input`:
-/// the materialized row store, the 4-byte sort index, and one emitted
+/// Peak resident bytes proven for a [`crate::ops::Sort`] over `input`
+/// (row bound `rows`): the materialized row store, the 4-byte sort index, and one emitted
 /// copy of the output chunks.
-pub(crate) fn sort_bound(input: &LogicalPlan) -> u64 {
-    let n = analyze::row_bound(input).min(usize::MAX >> 8) as u64;
+fn sort_bound(rows: usize, input: &LogicalPlan) -> u64 {
+    let n = rows.min(usize::MAX >> 8) as u64;
     let w = row_width(input);
     n.saturating_mul(w)
         .saturating_mul(2)
@@ -511,7 +524,7 @@ pub(crate) fn chunk_bound(plan: &LogicalPlan, vector_size: usize) -> u64 {
 /// Chunk byte bound for a hash aggregate's *output* stream (group keys
 /// plus 8-byte aggregate scalars): the partitioned-agg exchange's union
 /// carries these alongside the producers' input chunks.
-pub(crate) fn agg_out_chunk_bound(
+fn agg_out_chunk_bound(
     input: &LogicalPlan,
     keys: &[usize],
     aggs: &[AggSpec],
@@ -542,7 +555,7 @@ fn exchange_bytes(producers: usize, partitions: usize, chunk: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// the walk
+// per-node bounds (read by `plan::physical`)
 // ---------------------------------------------------------------------------
 
 /// Work-bound cost constants (per input tuple).
@@ -554,8 +567,8 @@ const W_JOIN_BUILD: u64 = 3;
 const W_JOIN_PROBE: u64 = 2;
 const W_EXCHANGE: u64 = 1;
 
-fn tuples(plan: &LogicalPlan) -> u64 {
-    analyze::row_bound(plan).min(usize::MAX >> 8) as u64
+fn tuples(bounds: &RowBounds<'_>, plan: &LogicalPlan) -> u64 {
+    bounds.rows(plan).min(usize::MAX >> 8) as u64
 }
 
 /// Resident bytes a scan stage holds: the *stored* representation of the
@@ -587,243 +600,122 @@ fn scan_resident_bytes(table: &Table, cols: &[String], vector_size: usize) -> u6
     })
 }
 
-/// Recursive bound derivation mirroring `plan::lower`'s decisions.
-/// `ordered` tracks whether an order-sensitive ancestor pins this
-/// subtree sequential (partition verdicts disengage, as in lowering);
-/// `boundary` is true at the nodes `lower_node` dispatches on, so each
-/// scan chain's sharding verdict is assessed exactly once at its top.
-fn walk(
+/// Proven `(per-instance bytes, work)` of the operator `plan` lowers to.
+pub(crate) fn op_bounds(
+    bounds: &RowBounds<'_>,
     plan: &LogicalPlan,
-    cfg: &ExecConfig,
-    ordered: bool,
-    boundary: bool,
-    ops: &mut Vec<OpCost>,
-) {
+    vector_size: usize,
+) -> (u64, u64) {
     match plan {
-        LogicalPlan::Scan { table, cols, .. } => {
-            if boundary {
-                chain_exchange(plan, cfg, ops);
-            }
-            push(
-                ops,
-                table.name(),
-                "scan",
-                1,
-                scan_resident_bytes(table, cols, cfg.vector_size),
-                tuples(plan).saturating_mul(W_SCAN),
-            );
-        }
-        LogicalPlan::Filter { input, label, .. } => {
-            if boundary {
-                chain_exchange(plan, cfg, ops);
-            }
-            let chain = matches!(
-                **input,
-                LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }
-            );
-            push(
-                ops,
-                label,
-                "filter",
-                1,
-                0,
-                tuples(input).saturating_mul(W_FILTER),
-            );
-            walk(input, cfg, ordered, !chain, ops);
-        }
-        LogicalPlan::Project { input, label, .. } => {
-            if boundary {
-                chain_exchange(plan, cfg, ops);
-            }
-            let chain = matches!(
-                **input,
-                LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }
-            );
-            push(
-                ops,
-                label,
-                "project",
-                1,
-                0,
-                tuples(input).saturating_mul(W_PROJECT),
-            );
-            walk(input, cfg, ordered, !chain, ops);
-        }
+        LogicalPlan::Scan { table, cols, .. } => (
+            scan_resident_bytes(table, cols, vector_size),
+            tuples(bounds, plan).saturating_mul(W_SCAN),
+        ),
+        LogicalPlan::Filter { input, .. } => (0, tuples(bounds, input).saturating_mul(W_FILTER)),
+        LogicalPlan::Project { input, .. } => (0, tuples(bounds, input).saturating_mul(W_PROJECT)),
         LogicalPlan::HashAgg {
-            input,
-            keys,
-            aggs,
-            label,
-            ..
-        } => {
-            let partitions = if ordered {
-                1
-            } else {
-                agg_partition_count(input, keys, cfg)
-            };
-            let per = agg_instance_bound(input, keys, aggs);
-            if partitions >= 2 {
-                let producers = if shardable_chain(input, cfg).is_some() {
-                    cfg.worker_threads.max(1)
-                } else {
-                    1
-                };
-                let chunk = chunk_bound(input, cfg.vector_size);
-                push(
-                    ops,
-                    &format!("{label}/exchange"),
-                    "exchange",
-                    producers,
-                    exchange_bytes(producers, partitions, chunk),
-                    tuples(input).saturating_mul(W_EXCHANGE),
-                );
-            }
-            push(
-                ops,
-                label,
-                "hash-agg",
-                partitions.max(1),
-                per,
-                tuples(input).saturating_mul(W_AGG),
-            );
-            walk(input, cfg, false, true, ops);
-        }
-        LogicalPlan::StreamAgg {
-            input, aggs, label, ..
-        } => {
-            // Scalar accumulators only; not facade-tracked (MEM_EXEMPT).
-            push(
-                ops,
-                label,
-                "stream-agg",
-                1,
-                16u64.saturating_mul(aggs.len() as u64),
-                tuples(input).saturating_mul(W_AGG),
-            );
-            walk(input, cfg, false, true, ops);
-        }
+            input, keys, aggs, ..
+        } => (
+            agg_instance_bound(bounds.rows(plan), input, keys, aggs),
+            tuples(bounds, input).saturating_mul(W_AGG),
+        ),
+        // Scalar accumulators only; not facade-tracked (MEM_EXEMPT).
+        LogicalPlan::StreamAgg { input, aggs, .. } => (
+            16u64.saturating_mul(aggs.len() as u64),
+            tuples(bounds, input).saturating_mul(W_AGG),
+        ),
         LogicalPlan::HashJoin {
             build,
             probe,
             build_keys,
             payload,
-            label,
             ..
-        } => {
-            let partitions = if ordered {
-                1
-            } else {
-                join_partition_count(build, probe, cfg)
-            };
-            let per = join_build_bound(build, build_keys, payload);
-            if partitions >= 2 {
-                let shardable =
-                    shardable_chain(build, cfg).is_some() || shardable_chain(probe, cfg).is_some();
-                let producers = if shardable {
-                    cfg.worker_threads.max(1)
-                } else {
-                    1
-                };
-                let chunk = chunk_bound(build, cfg.vector_size)
-                    .max(chunk_bound(probe, cfg.vector_size))
-                    .max(chunk_bound(plan, cfg.vector_size));
-                push(
-                    ops,
-                    &format!("{label}/exchange"),
-                    "exchange",
-                    producers,
-                    // two routed lanes (build + probe) share the formula
-                    exchange_bytes(producers, partitions, chunk).saturating_mul(2),
-                    tuples(probe).saturating_mul(W_EXCHANGE),
-                );
-            }
-            let work = tuples(build)
+        } => (
+            join_build_bound(bounds.rows(build), build, build_keys, payload),
+            tuples(bounds, build)
                 .saturating_mul(W_JOIN_BUILD)
-                .saturating_add(tuples(probe).saturating_mul(W_JOIN_PROBE));
-            push(ops, label, "hash-join", partitions.max(1), per, work);
-            walk(build, cfg, false, true, ops);
-            walk(probe, cfg, false, true, ops);
-        }
+                .saturating_add(tuples(bounds, probe).saturating_mul(W_JOIN_PROBE)),
+        ),
         LogicalPlan::MergeJoin {
             left,
             right,
             payload,
-            label,
             ..
         } => {
             // The left (unique-key) side is materialized; merge join is
             // not facade-tracked (MEM_EXEMPT) but the bound still counts
             // its store plus an emitted copy, like a sort without index.
-            let n = tuples(left);
+            let n = tuples(bounds, left);
             let w_l = col_widths(left);
             let pay_w = payload
                 .iter()
                 .fold(row_width(left), |a, &i| a.saturating_add(w_l[i]));
-            let bytes = n.saturating_mul(pay_w).saturating_mul(2);
             let work = n
                 .saturating_mul(W_JOIN_BUILD)
-                .saturating_add(tuples(right).saturating_mul(W_JOIN_PROBE));
-            push(ops, label, "merge-join", 1, bytes, work);
-            walk(left, cfg, true, true, ops);
-            walk(right, cfg, true, true, ops);
+                .saturating_add(tuples(bounds, right).saturating_mul(W_JOIN_PROBE));
+            (n.saturating_mul(pay_w).saturating_mul(2), work)
         }
         LogicalPlan::Sort { input, .. } => {
-            let n = tuples(input);
+            let n = tuples(bounds, input);
             let logn = if n <= 1 {
                 1
             } else {
                 u64::from(n.ilog2()).saturating_add(1)
             };
-            push(
-                ops,
-                "sort",
-                "sort",
-                1,
-                sort_bound(input),
+            (
+                sort_bound(bounds.rows(input), input),
                 n.saturating_mul(logn),
-            );
-            walk(input, cfg, false, true, ops);
+            )
         }
     }
 }
 
-/// Emits the exchange entry for a shardable scan chain dispatched at a
-/// `lower_node` boundary (a [`crate::ops::Parallel`] under a free
-/// consumer, a [`crate::ops::MergeExchange`] under an ordered one; the
-/// Parallel-shaped bound covers both).
-fn chain_exchange(plan: &LogicalPlan, cfg: &ExecConfig, ops: &mut Vec<OpCost>) {
-    if shardable_chain(plan, cfg).is_none() {
-        return;
+/// Proven `(per-instance bytes, work)` of the exchange in front of
+/// `plan`: for an aggregate or join, the partition exchange routing its
+/// inputs to `partitions` consumers (a join's two lanes share the
+/// formula); otherwise the morsel exchange over the scan chain `plan`
+/// (the Parallel-shaped bound also covers a merging exchange).
+pub(crate) fn exchange_bounds(
+    bounds: &RowBounds<'_>,
+    plan: &LogicalPlan,
+    producers: usize,
+    partitions: usize,
+    vector_size: usize,
+) -> (u64, u64) {
+    match plan {
+        LogicalPlan::HashAgg { input, .. } => (
+            exchange_bytes(producers, partitions, chunk_bound(input, vector_size)),
+            tuples(bounds, input).saturating_mul(W_EXCHANGE),
+        ),
+        LogicalPlan::HashJoin { probe, .. } => (
+            exchange_bytes(producers, partitions, exchange_chunk(plan, vector_size))
+                .saturating_mul(2),
+            tuples(bounds, probe).saturating_mul(W_EXCHANGE),
+        ),
+        _ => (
+            exchange_bytes(producers, partitions, chunk_bound(plan, vector_size)),
+            tuples(bounds, plan).saturating_mul(W_EXCHANGE),
+        ),
     }
-    let producers = cfg.worker_threads.max(1);
-    let chunk = chunk_bound(plan, cfg.vector_size);
-    push(
-        ops,
-        "scan-shard/exchange",
-        "exchange",
-        producers,
-        exchange_bytes(producers, 1, chunk),
-        tuples(plan).saturating_mul(W_EXCHANGE),
-    );
 }
 
-fn push(
-    ops: &mut Vec<OpCost>,
-    label: &str,
-    kind: &'static str,
-    instances: usize,
-    per_instance_bytes: u64,
-    work: u64,
-) {
-    let bytes = per_instance_bytes.saturating_mul(instances as u64);
-    ops.push(OpCost {
-        label: label.to_string(),
-        kind,
-        instances,
-        per_instance_bytes,
-        bytes,
-        work,
-    });
+/// Byte bound of one chunk crossing the exchange in front of `plan` (the
+/// exchange's [`crate::adaptive::MemTracker`] bound): a partitioned
+/// aggregate's union carries its output chunks alongside the producers'
+/// input chunks; a partitioned join's lanes carry either side's chunks
+/// and its union the join's output.
+pub(crate) fn exchange_chunk(plan: &LogicalPlan, vector_size: usize) -> u64 {
+    match plan {
+        LogicalPlan::HashAgg {
+            input, keys, aggs, ..
+        } => {
+            chunk_bound(input, vector_size).max(agg_out_chunk_bound(input, keys, aggs, vector_size))
+        }
+        LogicalPlan::HashJoin { build, probe, .. } => chunk_bound(build, vector_size)
+            .max(chunk_bound(probe, vector_size))
+            .max(chunk_bound(plan, vector_size)),
+        _ => chunk_bound(plan, vector_size),
+    }
 }
 
 #[cfg(test)]
@@ -910,7 +802,7 @@ mod tests {
         else {
             panic!("expected agg root")
         };
-        let b = agg_instance_bound(input, keys, aggs);
+        let b = agg_instance_bound(RowBounds::of(&plan).rows(&plan), input, keys, aggs);
         // 5 groups: 64-slot floor (1024 B) + builders + accs + output
         assert!(b >= 1024, "bound {b} below the slot-array floor");
         assert!(b < 16 << 10, "bound {b} implausibly large for 5 groups");
@@ -950,7 +842,10 @@ mod tests {
         let cat = catalog(100);
         let plan = PlanBuilder::scan(&cat, "t", &["id"]).build().unwrap();
         // 100 rows × 8 B × 2 copies + 4 B index
-        assert_eq!(sort_bound(&plan), 100 * 8 * 2 + 100 * 4);
+        assert_eq!(
+            sort_bound(RowBounds::of(&plan).rows(&plan), &plan),
+            100 * 8 * 2 + 100 * 4
+        );
     }
 
     #[test]
@@ -976,7 +871,7 @@ mod tests {
         else {
             panic!("expected join root")
         };
-        let b = join_build_bound(build, build_keys, payload);
+        let b = join_build_bound(RowBounds::of(&plan).rows(build), build, build_keys, payload);
         // 3 build rows: 64-head floor (256 B) + bloom floor dominate
         assert!(b >= 256, "bound {b} below the head-array floor");
         let report = cost(&plan, &ExecConfig::default());

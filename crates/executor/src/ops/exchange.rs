@@ -711,7 +711,7 @@ enum MergeState {
 /// non-decreasing — all any order-sensitive consumer requires. Producers
 /// must each be internally sorted ascending by the key column; the planner
 /// only builds this exchange over chains whose key traces to the scanned
-/// table's clustering column (see `plan::lower::merge_workers`).
+/// table's clustering column (see `plan::physical::merge_workers`).
 pub struct MergeExchange {
     state: MergeState,
     key_col: usize,

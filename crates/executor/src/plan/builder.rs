@@ -45,7 +45,7 @@ fn integer(ty: DataType) -> bool {
 /// either with a sequential scan, or by sharding into morsel fragments
 /// (each internally key-sorted) re-merged by a
 /// [`crate::ops::MergeExchange`] — the same structural test gates both
-/// (`plan::lower::merge_workers`).
+/// (`plan::physical::merge_workers`).
 pub(crate) fn clustered_key_chain(plan: &LogicalPlan, key: usize) -> bool {
     match plan {
         LogicalPlan::Scan { table, cols, .. } => {

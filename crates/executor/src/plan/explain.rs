@@ -1,20 +1,18 @@
-//! `EXPLAIN`-style rendering of logical plans.
+//! `EXPLAIN`-style rendering of physical plans.
 //!
-//! [`LogicalPlan`] implements [`std::fmt::Display`] as an indented tree.
-//! Every line shows the node, its parameters mapped back to column
-//! *names*, and the resolved output schema. Scans additionally carry the
-//! planner's structural verdict: `(shardable)` when the pipeline above is
-//! order-insensitive (so [`crate::plan::lower`] may shard it across
-//! workers), `(ordered)` when an ancestor merge join constrains it.
+//! A [`PhysPlan`] implements [`std::fmt::Display`] as an indented tree.
+//! Every line shows the operator, its parameters mapped back to column
+//! *names*, and the resolved output schema, plus the verdicts the plan
+//! records: `HashAgg (partitioned ×P)` / `HashJoin (partitioned ×P)` for a
+//! consumer behind a hash-partitioning exchange, a `Merge ×N` node above
+//! each ordered chain sharded into `(morsel)` scans, and per scan
+//! `(shardable)` when no order-sensitive ancestor constrains it or
+//! `(ordered)` when one does. Arrival-order unions are not drawn: their
+//! scans already read `(shardable)`.
 //!
-//! [`explain_physical`] renders the same tree against a concrete
-//! [`ExecConfig`], additionally annotating the planner's physical
-//! verdicts: `HashAgg (partitioned ×P)` / `HashJoin (partitioned ×P)`
-//! when [`crate::plan::lower`] will route the operator through a
-//! hash-partitioning exchange, and a `Merge ×N` node above each ordered
-//! chain that shards into `(morsel)` scans re-merged by a
-//! [`crate::ops::MergeExchange`]. Every verdict is computed by the *same*
-//! decision function lowering uses, so EXPLAIN shows what will execute.
+//! [`explain_physical`] renders the plan [`crate::plan::lower`] will run
+//! under a concrete [`ExecConfig`]. [`LogicalPlan`]'s own `Display` is the
+//! single-worker rendering, which carries no exchange at all.
 
 use std::fmt;
 
@@ -23,108 +21,83 @@ use ma_vector::Schema;
 use crate::config::ExecConfig;
 use crate::expr::{CmpKind, CmpRhs, Expr, Pred, Value};
 use crate::ops::{AggSpec, JoinKind, ProjItem, SortKey};
-use crate::plan::lower::OrderCtx;
+use crate::plan::physical::{plan_physical, PhysKind, PhysPlan};
 use crate::plan::LogicalPlan;
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(f, self, 0, None, RenderCtx::Free, None)
+        write!(f, "{}", plan_physical(self, &ExecConfig::default()))
     }
 }
 
-/// Renders `plan` with the physical planner's verdicts for `config`
-/// (worker count, partition knobs): operators the planner will partition
-/// are annotated `(partitioned ×P)`, and ordered chains it will shard
-/// render under a `Merge ×N` node with `(morsel)` scans.
+impl fmt::Display for PhysPlan<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt_node(f, self, 0, None, false)
+    }
+}
+
+/// Renders the physical plan of `plan` under `config` (worker count,
+/// partition knobs): operators the planner partitions are annotated
+/// `(partitioned ×P)`, and ordered chains it shards render under a
+/// `Merge ×N` node with `(morsel)` scans.
 pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
-    struct Physical<'a>(&'a LogicalPlan, &'a ExecConfig);
-    impl fmt::Display for Physical<'_> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            fmt_node(f, self.0, 0, None, RenderCtx::Free, Some(self.1))
-        }
-    }
-    Physical(plan, config).to_string()
+    plan_physical(plan, config).to_string()
 }
 
-/// The rendering-side ordering context: the planner's [`OrderCtx`] plus
-/// one extra state for subtrees already placed under a `Merge ×N` node
-/// (whose scans render `(morsel)` and never re-trigger a merge).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RenderCtx {
-    Free,
-    Key(usize),
-    Pinned,
-    Morsel,
-}
-
-impl RenderCtx {
-    fn from_order(o: OrderCtx) -> RenderCtx {
-        match o {
-            OrderCtx::Free => RenderCtx::Free,
-            OrderCtx::Key(k) => RenderCtx::Key(k),
-            OrderCtx::Pinned => RenderCtx::Pinned,
-        }
-    }
-
-    /// The context for `plan`'s child at `idx`, via the planner's own
-    /// propagation rule.
-    fn child(self, plan: &LogicalPlan, idx: usize) -> RenderCtx {
-        match self {
-            RenderCtx::Morsel => RenderCtx::Morsel,
-            RenderCtx::Free => {
-                RenderCtx::from_order(super::lower::child_order(plan, idx, OrderCtx::Free))
-            }
-            RenderCtx::Key(k) => {
-                RenderCtx::from_order(super::lower::child_order(plan, idx, OrderCtx::Key(k)))
-            }
-            RenderCtx::Pinned => {
-                RenderCtx::from_order(super::lower::child_order(plan, idx, OrderCtx::Pinned))
-            }
-        }
-    }
-}
-
+/// `morsel`: the node is part of a chain sharded under a `Merge ×N` node.
 fn fmt_node(
     f: &mut fmt::Formatter<'_>,
-    plan: &LogicalPlan,
+    node: &PhysPlan<'_>,
     indent: usize,
     tag: Option<&str>,
-    ctx: RenderCtx,
-    config: Option<&ExecConfig>,
+    morsel: bool,
 ) -> fmt::Result {
-    // Physical rendering: an ordered chain the planner will shard renders
-    // under a merging-exchange node (same decision function as lowering).
-    if let (RenderCtx::Key(key), Some(cfg)) = (ctx, config) {
-        let workers = super::lower::merge_workers(plan, key, cfg);
-        if workers >= 2 {
-            write!(f, "{:indent$}", "", indent = indent * 2)?;
-            if let Some(t) = tag {
-                write!(f, "{t}: ")?;
-            }
-            let schema = plan.schema();
-            writeln!(
-                f,
-                "Merge \u{d7}{workers} on {} -> {schema}",
-                schema.field(key).name
-            )?;
-            return fmt_node(f, plan, indent + 1, None, RenderCtx::Morsel, config);
-        }
-    }
+    let inputs: Vec<&PhysPlan<'_>> = match &node.kind {
+        PhysKind::Parallel { .. } => return fmt_node(f, &node.children[0], indent, tag, morsel),
+        PhysKind::HashPartition { lanes, .. } => lanes.iter().map(|l| &l.input).collect(),
+        _ => node.children.iter().collect(),
+    };
     write!(f, "{:indent$}", "", indent = indent * 2)?;
     if let Some(t) = tag {
         write!(f, "{t}: ")?;
     }
-    match plan {
+    if let PhysKind::Merge { key_cols, .. } = &node.kind {
+        let schema = node.logical.schema();
+        let key = &schema.field(key_cols[0]).name;
+        writeln!(f, "Merge \u{d7}{} on {key} -> {schema}", node.instances)?;
+        return fmt_node(f, &node.children[0], indent + 1, None, true);
+    }
+    fmt_line(f, node, morsel)?;
+    let tags: [Option<&str>; 2] = match node.logical {
+        LogicalPlan::HashJoin { .. } => [Some("build"), Some("probe")],
+        LogicalPlan::MergeJoin { .. } => [Some("left"), Some("right")],
+        _ => [None, None],
+    };
+    for (input, tag) in inputs.into_iter().zip(tags) {
+        fmt_node(f, input, indent + 1, tag, morsel)?;
+    }
+    Ok(())
+}
+
+/// One operator's line: its logical node plus the verdicts `node`
+/// records (the partition count of a partition exchange's consumer, a
+/// scan's mode).
+fn fmt_line(f: &mut fmt::Formatter<'_>, node: &PhysPlan<'_>, morsel: bool) -> fmt::Result {
+    let partitioned = match node.kind {
+        PhysKind::HashPartition { partitions, .. } => format!("(partitioned \u{d7}{partitions}) "),
+        _ => String::new(),
+    };
+    match node.logical {
         LogicalPlan::Scan {
             table,
             cols,
             schema,
             ..
         } => {
-            let mode = match ctx {
-                RenderCtx::Free => "shardable",
-                RenderCtx::Key(_) | RenderCtx::Pinned => "ordered",
-                RenderCtx::Morsel => "morsel",
+            let mode = match node.kind {
+                _ if morsel => "morsel",
+                PhysKind::Scan { ordered: true } => "ordered",
+                _ => "shardable",
             };
             // Per-column storage codecs, so the plan shows which scans
             // decode through flavored primitives (`enc=[col:codec, ..]`).
@@ -152,14 +125,11 @@ fn fmt_node(
             pred,
             schema,
             ..
-        } => {
-            writeln!(
-                f,
-                "Filter {} -> {schema}",
-                render_pred(pred, input.schema())
-            )?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
-        }
+        } => writeln!(
+            f,
+            "Filter {} -> {schema}",
+            render_pred(pred, input.schema())
+        ),
         LogicalPlan::Project {
             input,
             items,
@@ -181,8 +151,7 @@ fn fmt_node(
                     }
                 })
                 .collect();
-            writeln!(f, "Project [{}] -> {schema}", parts.join(", "))?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            writeln!(f, "Project [{}] -> {schema}", parts.join(", "))
         }
         LogicalPlan::HashAgg {
             input,
@@ -195,40 +164,23 @@ fn fmt_node(
                 .iter()
                 .map(|&i| input.schema().field(i).name.as_str())
                 .collect();
-            // Physical rendering: the partitioning verdict, from the same
-            // decision function lowering uses.
-            let partitions = match config {
-                Some(cfg) if ctx == RenderCtx::Free => {
-                    super::lower::agg_partition_count(input, keys, cfg)
-                }
-                _ => 1,
-            };
-            if partitions >= 2 {
-                write!(f, "HashAgg (partitioned \u{d7}{partitions}) ")?;
-            } else {
-                write!(f, "HashAgg ")?;
-            }
             writeln!(
                 f,
-                "keys=[{}] aggs=[{}] -> {schema}",
+                "HashAgg {partitioned}keys=[{}] aggs=[{}] -> {schema}",
                 key_names.join(", "),
                 render_aggs(aggs, keys.len(), input.schema(), schema)
-            )?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            )
         }
         LogicalPlan::StreamAgg {
             input,
             aggs,
             schema,
             ..
-        } => {
-            writeln!(
-                f,
-                "StreamAgg [{}] -> {schema}",
-                render_aggs(aggs, 0, input.schema(), schema)
-            )?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
-        }
+        } => writeln!(
+            f,
+            "StreamAgg [{}] -> {schema}",
+            render_aggs(aggs, 0, input.schema(), schema)
+        ),
         LogicalPlan::HashJoin {
             build,
             probe,
@@ -261,44 +213,18 @@ fn fmt_node(
                 .iter()
                 .map(|&i| build.schema().field(i).name.as_str())
                 .collect();
-            // Physical rendering: the join-partitioning verdict, from the
-            // same decision function lowering uses.
-            let partitions = match config {
-                Some(cfg) if ctx == RenderCtx::Free => {
-                    super::lower::join_partition_count(build, probe, cfg)
-                }
-                _ => 1,
-            };
-            if partitions >= 2 {
-                write!(f, "HashJoin (partitioned \u{d7}{partitions}) ")?;
-            } else {
-                write!(f, "HashJoin ")?;
-            }
-            write!(f, "{kind_name} on ({})", on.join(", "))?;
+            write!(
+                f,
+                "HashJoin {partitioned}{kind_name} on ({})",
+                on.join(", ")
+            )?;
             if !pay.is_empty() {
                 write!(f, " payload=[{}]", pay.join(", "))?;
             }
             if *bloom {
                 write!(f, " bloom")?;
             }
-            writeln!(f, " -> {schema}")?;
-            // Build materializes (resets order); probe streams (inherits).
-            fmt_node(
-                f,
-                build,
-                indent + 1,
-                Some("build"),
-                ctx.child(plan, 0),
-                config,
-            )?;
-            fmt_node(
-                f,
-                probe,
-                indent + 1,
-                Some("probe"),
-                ctx.child(plan, 1),
-                config,
-            )
+            writeln!(f, " -> {schema}")
         }
         LogicalPlan::MergeJoin {
             left,
@@ -322,26 +248,7 @@ fn fmt_node(
             if !pay.is_empty() {
                 write!(f, " payload=[{}]", pay.join(", "))?;
             }
-            writeln!(f, " -> {schema}")?;
-            // Order-sensitive: the key constraint threads down, until an
-            // order-resetting node drops it — physically, a clustering-key
-            // chain shards under a `Merge ×N` node instead.
-            fmt_node(
-                f,
-                left,
-                indent + 1,
-                Some("left"),
-                ctx.child(plan, 0),
-                config,
-            )?;
-            fmt_node(
-                f,
-                right,
-                indent + 1,
-                Some("right"),
-                ctx.child(plan, 1),
-                config,
-            )
+            writeln!(f, " -> {schema}")
         }
         LogicalPlan::Sort {
             input,
@@ -363,8 +270,7 @@ fn fmt_node(
             if let Some(l) = limit {
                 write!(f, " limit={l}")?;
             }
-            writeln!(f, " -> {schema}")?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            writeln!(f, " -> {schema}")
         }
     }
 }

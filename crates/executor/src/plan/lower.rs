@@ -1,252 +1,198 @@
-//! The physical planner: [`LogicalPlan`] → operator pipeline.
+//! Lowering: [`PhysPlan`] → operator pipeline.
 //!
-//! Lowering is where *all* parallelism decisions live (queries only
-//! declare intent):
-//!
-//! * **Sharding.** A scan under an order-insensitive pipeline with
-//!   `worker_threads > 1` and enough rows to bother becomes `n`
-//!   morsel-driven worker fragments united by a [`Parallel`] exchange.
-//! * **Pipeline pushdown.** A chain of [`LogicalPlan::Filter`] /
-//!   [`LogicalPlan::Project`] nodes sitting on a scan is compiled *into*
-//!   each worker fragment, so the selection and map primitives parallelize
-//!   and every worker owns its own bandit state for them (per-worker micro
-//!   adaptivity, DESIGN.md §5).
-//! * **Partitioned aggregation.** A [`LogicalPlan::HashAgg`] over a
-//!   sharded scan — or over any input with enough estimated groups —
-//!   becomes a [`HashPartitionExchange`]: producers route tuples by
-//!   `hash(group keys) % P` to `P` private [`HashAggregate`] instances
-//!   whose disjoint results union in arrival order (DESIGN.md §7).
-//! * **Partitioned join builds.** A [`LogicalPlan::HashJoin`] over big
-//!   enough inputs becomes a *two-lane* [`HashPartitionExchange`]: both
-//!   sides route by `hash(join keys) % P` into `P` private [`HashJoin`]
-//!   instances, each building its own hash table — equal keys land in the
-//!   same partition on both lanes, so the arrival-order union of the
-//!   per-partition join outputs is exact for every join kind
-//!   (DESIGN.md §8).
-//! * **Order sensitivity.** A [`LogicalPlan::MergeJoin`] needs key-sorted
-//!   inputs; a [`Parallel`] union interleaves worker streams in arrival
-//!   order and would break that. The planner threads the required key
-//!   down as an [`OrderCtx`]: a Filter/Project chain over a scan whose
-//!   key traces to the table's clustering (first) column still shards —
-//!   its morsel fragments are each internally sorted, and a
-//!   [`MergeExchange`] K-way-merges them back into one sorted stream.
-//!   Chains that can't prove the key's order stay sequential, and nodes
-//!   that *reset* order (Sort re-sorts; aggregates and hash-join builds
-//!   are order-insensitive) drop back to unordered mode for their inputs.
+//! Every parallelism decision — sharding, pipeline pushdown, merging,
+//! aggregate/join partitioning — is made once by
+//! [`plan_physical`](crate::plan::plan_physical). [`lower`] only
+//! instantiates what that plan records: one operator per node, the
+//! recorded number of fragments or partitions per exchange, and each
+//! memory tracker armed with the node's stored proven bound.
 
 use std::sync::Arc;
 
-use ma_vector::{MorselQueue, Table, VECTORS_PER_MORSEL};
+use ma_vector::{MorselQueue, VECTORS_PER_MORSEL};
 
-use crate::config::{DecodeMode, ExecConfig};
-use crate::ops::{AggSpec, ProjItem};
+use crate::config::DecodeMode;
 use crate::ops::{
     HashAggregate, HashJoin, HashPartitionExchange, MergeExchange, MergeJoin, Parallel, RoutedLane,
     Scan, Select, Sort, StreamAggregate,
 };
-use crate::plan::builder::clustered_key_chain;
+use crate::plan::physical::{plan_physical, PhysKind, PhysPlan};
 use crate::plan::LogicalPlan;
 use crate::{BoxOp, ExecError, QueryContext};
 
-/// Lowers a logical plan to a physical operator pipeline, deciding
-/// sharding, pipeline pushdown, aggregate/join partitioning and the
-/// ordered-pipeline strategy centrally (see the
-/// [plan module docs](crate::plan)).
+/// Lowers a logical plan to a physical operator pipeline: plans it with
+/// [`plan_physical`] under the context's config, then instantiates the
+/// result (see the [plan module docs](crate::plan)).
 pub fn lower(plan: &LogicalPlan, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
     // Debug builds re-check every invariant lowering relies on through
-    // the independent verifier (`crate::verify`), so any test that
-    // executes a query also proves its plan well-formed. Release builds
-    // skip the walk; CI additionally sweeps all queries across a
-    // worker/partition/vector-size matrix (crates/tpch/tests).
+    // the verifier (`crate::verify`), so any test that executes a query
+    // also proves its plan well-formed. Release builds skip the walk; CI
+    // additionally sweeps all queries across a worker/partition/vector-
+    // size matrix (crates/tpch/tests).
     #[cfg(debug_assertions)]
     crate::verify::verify(plan, ctx.config())
         .map_err(|e| ExecError::Plan(format!("plan verification failed: {e}")))?;
-    lower_node(plan, ctx, OrderCtx::Free)
+    build(&plan_physical(plan, ctx.config()), ctx, None)
 }
 
-/// The ordering constraint an ancestor imposes on a node's output stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OrderCtx {
-    /// No order-sensitive ancestor: scans may shard freely.
-    Free,
-    /// An ancestor consumes the output sorted ascending by this output
-    /// column. Scans may still shard — behind a [`MergeExchange`] on the
-    /// key — when the key provably carries the table's clustering order.
-    Key(usize),
-    /// Ordered, but the key doesn't survive the mapping to this node's
-    /// schema (e.g. a computed projection): sequential scans only.
-    Pinned,
-}
-
-/// Ordered-mode propagation from `plan` to its child at `idx` (0 = input/
-/// build/left, 1 = probe/right), given the constraint on the node itself.
-///
-/// One function, used by both lowering and the physical EXPLAIN traversal,
-/// so the rendered verdict can never drift from the executed one:
-///
-/// * Filter streams through — the constraint (and its key index) passes;
-/// * Project passes the constraint through pass-through items, mapping
-///   the key index; a computed key pins the subtree sequential;
-/// * Sort re-sorts and aggregates materialize — order *resets*, the
-///   subtree may shard even under a merge join;
-/// * a hash join's build side materializes (resets) while its probe side
-///   streams (inherits; a key pointing at a build payload column pins);
-/// * a merge join imposes its key on both children.
-pub(crate) fn child_order(plan: &LogicalPlan, idx: usize, order: OrderCtx) -> OrderCtx {
-    match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } => order,
-        LogicalPlan::Project { items, .. } => match order {
-            OrderCtx::Key(k) => match items.get(k) {
-                Some(ProjItem::Pass(i)) => OrderCtx::Key(*i),
-                _ => OrderCtx::Pinned,
-            },
-            other => other,
-        },
-        LogicalPlan::HashAgg { .. } | LogicalPlan::StreamAgg { .. } | LogicalPlan::Sort { .. } => {
-            OrderCtx::Free
-        }
-        LogicalPlan::HashJoin { probe, .. } => {
-            if idx == 0 {
-                OrderCtx::Free
-            } else {
-                match order {
-                    OrderCtx::Key(k) if k >= probe.schema().fields().len() => OrderCtx::Pinned,
-                    other => other,
-                }
-            }
-        }
-        LogicalPlan::MergeJoin {
-            left_key,
-            right_key,
-            ..
-        } => OrderCtx::Key(if idx == 0 { *left_key } else { *right_key }),
-    }
-}
-
-/// `order`: the constraint some ancestor imposes on this node's output.
-fn lower_node(plan: &LogicalPlan, ctx: &QueryContext, order: OrderCtx) -> Result<BoxOp, ExecError> {
-    match order {
-        // Any Filter/Project chain over a big-enough scan shards into
-        // worker fragments united in arrival order.
-        OrderCtx::Free => {
-            if let Some(chain) = shardable_chain(plan, ctx.config()) {
-                let queue = morsel_queue(&chain, ctx);
-                let workers = ctx.worker_threads();
-                let factory = |_worker: usize, _n: usize| -> Result<BoxOp, ExecError> {
-                    build_chain_fragment(&chain, &queue, ctx)
-                };
-                let chunk = crate::cost::chunk_bound(plan, ctx.vector_size());
-                return Ok(Box::new(
-                    Parallel::new(workers, &factory)?
-                        .tracked(ctx.mem_tracker("exchange/parallel", chunk)),
-                ));
-            }
-        }
-        // Under an ordered ancestor the same chain shards behind a
-        // merging exchange — if the key provably carries the clustering
-        // order (each morsel fragment is then internally sorted).
-        OrderCtx::Key(key) => {
-            let workers = merge_workers(plan, key, ctx.config());
-            if workers >= 2 {
-                let chain = shardable_chain(plan, ctx.config()).expect("merge_workers checked");
-                let queue = morsel_queue(&chain, ctx);
-                let producers: Vec<BoxOp> = (0..workers)
-                    .map(|_| build_chain_fragment(&chain, &queue, ctx))
-                    .collect::<Result<_, _>>()?;
-                let chunk = crate::cost::chunk_bound(plan, ctx.vector_size());
-                return Ok(Box::new(
-                    MergeExchange::new(producers, key)?
-                        .tracked(ctx.mem_tracker("exchange/merge", chunk)),
-                ));
-            }
-        }
-        OrderCtx::Pinned => {}
-    }
-    match plan {
-        LogicalPlan::Scan { table, cols, .. } => lower_scan_seq(table, cols, ctx),
-        LogicalPlan::Filter {
-            input, pred, label, ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            Ok(Box::new(Select::new(child, pred, ctx, label)?))
-        }
-        LogicalPlan::Project {
-            input,
-            items,
-            label,
-            ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            Ok(Box::new(crate::ops::Project::new(
-                child,
-                items.clone(),
-                ctx,
-                label,
-            )?))
-        }
-        LogicalPlan::HashAgg {
-            input,
-            keys,
-            aggs,
-            label,
-            ..
-        } => {
-            // Aggregation resets order for its input (`child_order`), but
-            // an ordered *ancestor* still pins the aggregate itself to a
-            // single (deterministically ordered) instance.
-            let partitions = if order == OrderCtx::Free {
-                agg_partition_count(input, keys, ctx.config())
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                return lower_partitioned_agg(input, keys, aggs, partitions, ctx, label);
-            }
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            let bound = crate::cost::agg_instance_bound(input, keys, aggs);
+/// Instantiates `node`. Inside a morsel fragment, `queue` is the morsel
+/// queue the fragment's scan claims from.
+fn build(
+    node: &PhysPlan<'_>,
+    ctx: &QueryContext,
+    queue: Option<&Arc<MorselQueue>>,
+) -> Result<BoxOp, ExecError> {
+    match &node.kind {
+        PhysKind::Parallel { chunk_bytes } => {
+            let chain = &node.children[0];
+            let queue = morsel_queue(chain, ctx);
+            let factory = |_worker: usize, _n: usize| build(chain, ctx, Some(&queue));
             Ok(Box::new(
-                HashAggregate::new(child, keys.clone(), aggs.clone(), ctx, label)?
-                    .with_group_bound(crate::analyze::group_bound(input, keys))
-                    .with_tracker(ctx.mem_tracker(label, bound)),
+                Parallel::new(node.instances, &factory)?
+                    .tracked(ctx.mem_tracker(&node.label, *chunk_bytes)),
             ))
         }
-        LogicalPlan::StreamAgg {
-            input, aggs, label, ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            Ok(Box::new(StreamAggregate::new(
-                child,
-                aggs.clone(),
-                ctx,
-                label,
-            )?))
-        }
-        LogicalPlan::HashJoin {
-            build,
-            probe,
-            build_keys,
-            probe_keys,
-            payload,
-            kind,
-            bloom,
-            defaults,
-            label,
+        PhysKind::Merge {
+            key_cols,
+            chunk_bytes,
             ..
         } => {
-            // A partitioned join's outputs union in arrival order, so an
-            // ordered ancestor pins the join to a single instance.
-            let partitions = if order == OrderCtx::Free {
-                join_partition_count(build, probe, ctx.config())
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                return lower_partitioned_join(plan, partitions, ctx);
-            }
-            let b = lower_node(build, ctx, child_order(plan, 0, order))?;
-            let p = lower_node(probe, ctx, child_order(plan, 1, order))?;
-            let bound = crate::cost::join_build_bound(build, build_keys, payload);
+            let producers = fragments(&node.children[0], node.instances, ctx)?;
             Ok(Box::new(
+                MergeExchange::new(producers, key_cols[0])?
+                    .tracked(ctx.mem_tracker(&node.label, *chunk_bytes)),
+            ))
+        }
+        PhysKind::HashPartition {
+            partitions,
+            lanes,
+            chunk_bytes,
+        } => {
+            let lanes = lanes
+                .iter()
+                .map(|lane| {
+                    let producers = if lane.producers >= 2 {
+                        fragments(&lane.input, lane.producers, ctx)?
+                    } else {
+                        vec![build(&lane.input, ctx, None)?]
+                    };
+                    Ok(RoutedLane {
+                        producers,
+                        key_cols: lane.key_cols.clone(),
+                    })
+                })
+                .collect::<Result<_, ExecError>>()?;
+            // Each partition's consumer reads one source per lane.
+            let consumer =
+                |sources: Vec<BoxOp>, _p: usize| op(&node.children[0], sources, ctx, None);
+            Ok(Box::new(
+                HashPartitionExchange::new(lanes, *partitions, &consumer)?
+                    .tracked(ctx.mem_tracker(&node.label, *chunk_bytes)),
+            ))
+        }
+        _ => {
+            let inputs = node
+                .children
+                .iter()
+                .map(|c| build(c, ctx, queue))
+                .collect::<Result<_, _>>()?;
+            op(node, inputs, ctx, queue)
+        }
+    }
+}
+
+/// `n` morsel fragments of the scan chain `chain`, claiming from one
+/// shared queue; each fragment owns private primitive instances
+/// (per-worker bandit state).
+fn fragments(chain: &PhysPlan<'_>, n: usize, ctx: &QueryContext) -> Result<Vec<BoxOp>, ExecError> {
+    let queue = morsel_queue(chain, ctx);
+    (0..n).map(|_| build(chain, ctx, Some(&queue))).collect()
+}
+
+/// A fresh morsel queue over the table at the bottom of `chain`. Morsels
+/// follow the configured vector size so morsel boundaries stay
+/// chunk-aligned for any `vector_size` (the worker-count-invariance
+/// contract, DESIGN.md §5).
+fn morsel_queue(chain: &PhysPlan<'_>, ctx: &QueryContext) -> Arc<MorselQueue> {
+    let mut leaf = chain;
+    while let Some(child) = leaf.children.first() {
+        leaf = child;
+    }
+    let LogicalPlan::Scan { table, .. } = leaf.logical else {
+        unreachable!("a sharded chain bottoms out in a scan");
+    };
+    let morsel_rows = VECTORS_PER_MORSEL * ctx.vector_size();
+    Arc::new(MorselQueue::with_morsel(table.rows(), morsel_rows))
+}
+
+/// Instantiates the operator of `node` over its already-built `inputs`
+/// (in child order).
+fn op(
+    node: &PhysPlan<'_>,
+    mut inputs: Vec<BoxOp>,
+    ctx: &QueryContext,
+    queue: Option<&Arc<MorselQueue>>,
+) -> Result<BoxOp, ExecError> {
+    let mut input = || inputs.remove(0);
+    let tracker = || ctx.mem_tracker(&node.label, node.per_instance_bytes);
+    let op: BoxOp = match (node.logical, &node.kind) {
+        (LogicalPlan::Scan { table, cols, .. }, _) => {
+            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+            let scan = match queue {
+                Some(q) => {
+                    Scan::morsel(Arc::clone(table), &names, ctx.vector_size(), Arc::clone(q))?
+                }
+                None => Scan::new(Arc::clone(table), &names, ctx.vector_size())?,
+            };
+            // Encoded columns decode through flavored primitives (one
+            // bandit-adapted instance per column, labeled
+            // `scan_<table>/<column>/<signature>` so per-worker statistics
+            // fold in `QueryContext::merged_reports`). Under
+            // `DecodeMode::Reference` the scan keeps its built-in reference
+            // decoders — the differential fuzzer cross-checks the two.
+            if ctx.config().decode == DecodeMode::Reference {
+                Box::new(scan)
+            } else {
+                Box::new(scan.with_context(ctx, &format!("scan_{}", table.name()))?)
+            }
+        }
+        (LogicalPlan::Filter { pred, label, .. }, _) => {
+            Box::new(Select::new(input(), pred, ctx, label)?)
+        }
+        (LogicalPlan::Project { items, label, .. }, _) => Box::new(crate::ops::Project::new(
+            input(),
+            items.clone(),
+            ctx,
+            label,
+        )?),
+        (
+            LogicalPlan::HashAgg {
+                keys, aggs, label, ..
+            },
+            PhysKind::HashAgg { groups },
+        ) => Box::new(
+            HashAggregate::new(input(), keys.clone(), aggs.clone(), ctx, label)?
+                .with_group_bound(*groups)
+                .with_tracker(tracker()),
+        ),
+        (LogicalPlan::StreamAgg { aggs, label, .. }, _) => {
+            Box::new(StreamAggregate::new(input(), aggs.clone(), ctx, label)?)
+        }
+        (
+            LogicalPlan::HashJoin {
+                build_keys,
+                probe_keys,
+                payload,
+                kind,
+                bloom,
+                defaults,
+                label,
+                ..
+            },
+            PhysKind::HashJoin { build_rows },
+        ) => {
+            let (b, p) = (input(), input());
+            Box::new(
                 HashJoin::new(
                     b,
                     p,
@@ -259,25 +205,22 @@ fn lower_node(plan: &LogicalPlan, ctx: &QueryContext, order: OrderCtx) -> Result
                     ctx,
                     label,
                 )?
-                .with_build_rows(estimated_rows(build))
-                .with_tracker(ctx.mem_tracker(label, bound)),
-            ))
+                .with_build_rows(*build_rows)
+                .with_tracker(tracker()),
+            )
         }
-        LogicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            payload,
-            label,
-            ..
-        } => {
-            // Both inputs must arrive key-sorted: `child_order` threads
-            // the key down, so each input either shards behind a merging
-            // exchange (clustering-key chains) or stays sequential.
-            let l = lower_node(left, ctx, child_order(plan, 0, order))?;
-            let r = lower_node(right, ctx, child_order(plan, 1, order))?;
-            Ok(Box::new(MergeJoin::new(
+        (
+            LogicalPlan::MergeJoin {
+                left_key,
+                right_key,
+                payload,
+                label,
+                ..
+            },
+            _,
+        ) => {
+            let (l, r) = (input(), input());
+            Box::new(MergeJoin::new(
                 l,
                 r,
                 *left_key,
@@ -285,429 +228,14 @@ fn lower_node(plan: &LogicalPlan, ctx: &QueryContext, order: OrderCtx) -> Result
                 payload.clone(),
                 ctx,
                 label,
-            )?))
+            )?)
         }
-        LogicalPlan::Sort {
-            input, keys, limit, ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            let bound = crate::cost::sort_bound(input);
-            Ok(Box::new(
-                Sort::new(child, keys.clone(), *limit, ctx.vector_size())?
-                    .with_tracker(ctx.mem_tracker("sort", bound)),
-            ))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// shardable Filter/Project chains over a scan
-// ---------------------------------------------------------------------------
-
-/// One pushed-down pipeline stage above the scan inside a worker fragment.
-enum ChainStage<'a> {
-    Filter {
-        pred: &'a crate::expr::Pred,
-        label: &'a str,
-    },
-    Project {
-        items: &'a [ProjItem],
-        label: &'a str,
-    },
-}
-
-/// A Filter/Project chain over a scan big enough to shard.
-pub(crate) struct ShardableChain<'a> {
-    table: &'a Arc<Table>,
-    cols: &'a [String],
-    /// Stages above the scan, bottom-up.
-    stages: Vec<ChainStage<'a>>,
-}
-
-/// Decomposes `plan` into a per-worker-compilable chain, or `None` when the
-/// pipeline contains a blocking/join node, the engine is single-threaded,
-/// or the table yields too few morsels to bother. Shared with
-/// [`crate::cost`], whose exchange bounds mirror this sharding verdict.
-pub(crate) fn shardable_chain<'a>(
-    plan: &'a LogicalPlan,
-    cfg: &ExecConfig,
-) -> Option<ShardableChain<'a>> {
-    if cfg.worker_threads.max(1) == 1 {
-        return None;
-    }
-    let morsel_rows = VECTORS_PER_MORSEL * cfg.vector_size;
-    let mut stages = Vec::new();
-    let mut cur = plan;
-    loop {
-        match cur {
-            LogicalPlan::Filter {
-                input, pred, label, ..
-            } => {
-                stages.push(ChainStage::Filter { pred, label });
-                cur = input;
-            }
-            LogicalPlan::Project {
-                input,
-                items,
-                label,
-                ..
-            } => {
-                stages.push(ChainStage::Project { items, label });
-                cur = input;
-            }
-            LogicalPlan::Scan { table, cols, .. } => {
-                // Sharding a table that yields only a couple of morsels
-                // buys nothing.
-                if table.rows() < 2 * morsel_rows {
-                    return None;
-                }
-                stages.reverse();
-                return Some(ShardableChain {
-                    table,
-                    cols,
-                    stages,
-                });
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// A fresh morsel queue over the chain's table. Morsels follow the
-/// configured vector size so morsel boundaries stay chunk-aligned for any
-/// `vector_size` (the worker-count-invariance contract, DESIGN.md §5).
-fn morsel_queue(chain: &ShardableChain<'_>, ctx: &QueryContext) -> Arc<MorselQueue> {
-    let morsel_rows = VECTORS_PER_MORSEL * ctx.vector_size();
-    Arc::new(MorselQueue::with_morsel(chain.table.rows(), morsel_rows))
-}
-
-/// Compiles one worker's fragment: a morsel scan plus the chain's stages,
-/// each with private primitive instances (per-worker bandit state).
-fn build_chain_fragment(
-    chain: &ShardableChain<'_>,
-    queue: &Arc<MorselQueue>,
-    ctx: &QueryContext,
-) -> Result<BoxOp, ExecError> {
-    let names: Vec<&str> = chain.cols.iter().map(String::as_str).collect();
-    let scan = Scan::morsel(
-        Arc::clone(chain.table),
-        &names,
-        ctx.vector_size(),
-        Arc::clone(queue),
-    )?;
-    let mut op: BoxOp = Box::new(wire_decoders(scan, chain.table, ctx)?);
-    for stage in &chain.stages {
-        op = match stage {
-            ChainStage::Filter { pred, label } => Box::new(Select::new(op, pred, ctx, label)?),
-            ChainStage::Project { items, label } => {
-                Box::new(crate::ops::Project::new(op, items.to_vec(), ctx, label)?)
-            }
-        };
-    }
+        (LogicalPlan::Sort { keys, limit, .. }, _) => Box::new(
+            Sort::new(input(), keys.clone(), *limit, ctx.vector_size())?.with_tracker(tracker()),
+        ),
+        _ => unreachable!("the planner gives every node its logical node's kind"),
+    };
     Ok(op)
-}
-
-/// Plain sequential scan (the 1-worker engine, small tables, pinned mode).
-fn lower_scan_seq(
-    table: &Arc<Table>,
-    cols: &[String],
-    ctx: &QueryContext,
-) -> Result<BoxOp, ExecError> {
-    let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let scan = Scan::new(Arc::clone(table), &names, ctx.vector_size())?;
-    Ok(Box::new(wire_decoders(scan, table, ctx)?))
-}
-
-/// Attaches flavored decode primitives to a scan over encoded columns
-/// (one bandit-adapted [`crate::PrimInstance`] per encoded column, labeled
-/// `scan_<table>/<column>/<signature>` so per-worker statistics fold in
-/// [`QueryContext::merged_reports`]). Under [`DecodeMode::Reference`] the
-/// scan keeps its built-in reference decoders — the differential fuzzer
-/// cross-checks the two paths.
-fn wire_decoders(scan: Scan, table: &Arc<Table>, ctx: &QueryContext) -> Result<Scan, ExecError> {
-    if ctx.config().decode == DecodeMode::Reference {
-        return Ok(scan);
-    }
-    scan.with_context(ctx, &format!("scan_{}", table.name()))
-}
-
-// ---------------------------------------------------------------------------
-// ordered sharding (merging exchange)
-// ---------------------------------------------------------------------------
-
-/// The planner's verdict for sharding an *ordered* pipeline: the producer
-/// count behind a [`MergeExchange`] on output column `key` (`< 2` means a
-/// sequential scan).
-///
-/// Shards when the node is a shardable Filter/Project chain over a scan
-/// *and* the key provably carries the scanned table's clustering (first-
-/// column) order — the same structural test the plan builder applies to
-/// merge-join inputs ([`clustered_key_chain`]). Each morsel fragment then
-/// emits disjoint ascending key ranges (workers claim morsels in
-/// increasing row order), so the K-way merge restores the global order
-/// exactly. Also used by the physical EXPLAIN rendering, so the verdict
-/// shown is the verdict executed.
-pub(crate) fn merge_workers(plan: &LogicalPlan, key: usize, cfg: &ExecConfig) -> usize {
-    if shardable_chain(plan, cfg).is_none() {
-        return 1;
-    }
-    if !clustered_key_chain(plan, key) {
-        return 1;
-    }
-    cfg.worker_threads.max(1)
-}
-
-/// The planner's sharding verdict for an order-*insensitive* pipeline:
-/// the worker count behind a [`Parallel`] union (`< 2` means a
-/// sequential scan). Mirrored by the plan verifier's physical sketch
-/// (`crate::verify`), which re-checks exchange placement independently.
-pub(crate) fn shard_workers(plan: &LogicalPlan, cfg: &ExecConfig) -> usize {
-    if shardable_chain(plan, cfg).is_some() {
-        cfg.worker_threads.max(1)
-    } else {
-        1
-    }
-}
-
-// ---------------------------------------------------------------------------
-// partitioned hash aggregation
-// ---------------------------------------------------------------------------
-
-/// The planner's partitioning verdict for a hash aggregation over `input`:
-/// the partition count (`< 2` means a single aggregate instance).
-///
-/// Partition when the input is itself a sharded scan chain (the producers
-/// are already parallel — serializing them behind one aggregate would be
-/// the Amdahl bottleneck this exchange exists to remove), or when the
-/// **proven group-count bound** reaches
-/// [`ExecConfig::agg_min_partition_groups`] (a heavy aggregate behind a
-/// serial producer still parallelizes its hash-table work). The bound is
-/// the abstract interpreter's `min(row bound, Π key NDV)`
-/// ([`crate::analyze::group_bound`]) — a low-NDV key (e.g. a flag column)
-/// now provably caps the group count, so the aggregate stays single where
-/// the raw row estimate used to over-trigger partitioning. Also used by
-/// the physical EXPLAIN rendering, so the verdict shown is the verdict
-/// executed.
-pub(crate) fn agg_partition_count(input: &LogicalPlan, keys: &[usize], cfg: &ExecConfig) -> usize {
-    let partitions = if cfg.agg_partitions == 0 {
-        cfg.worker_threads.max(1)
-    } else {
-        cfg.agg_partitions
-    };
-    if partitions < 2 {
-        return 1;
-    }
-    if shardable_chain(input, cfg).is_some() {
-        return partitions;
-    }
-    // Group demand in raw-width units, discounted when the key columns
-    // arrive dictionary-coded (DESIGN.md §13): the per-group resident
-    // footprint shrinks with the keys, so fewer partitions are needed to
-    // keep each under the threshold.
-    let demand = crate::cost::enc_weighted_demand(
-        crate::analyze::group_bound(input, keys),
-        input,
-        Some(keys),
-    );
-    if demand >= cfg.agg_min_partition_groups {
-        // An explicit `agg_partitions` knob is an exact override; in auto
-        // mode the cost model sizes the partition count to the proven
-        // demand instead of fanning out to every worker unconditionally.
-        return if cfg.agg_partitions != 0 {
-            partitions
-        } else {
-            crate::cost::pick_partitions(demand, cfg.agg_min_partition_groups, partitions)
-        };
-    }
-    1
-}
-
-/// Row-count upper bound for a plan's output: the abstract interpreter's
-/// derived bound ([`crate::analyze::row_bound`]), anchored on **exact
-/// base-table row counts** (scans report the catalog's
-/// [`crate::plan::Catalog::row_count`] answer, captured on the node at
-/// plan-build time as `base_rows`) and tightened by per-column statistics
-/// above them: contradictory filters drop to zero, aggregates are bounded
-/// by the product of their key NDVs, and joins whose build key is *proven*
-/// all-distinct stay bounded by their probe side. Joins without that proof
-/// use the sound N:M product bound — deliberately pessimistic, since a
-/// miss costs parallelism or routing overhead, never correctness.
-pub(crate) fn estimated_rows(plan: &LogicalPlan) -> usize {
-    crate::analyze::row_bound(plan)
-}
-
-/// Producer fragments for one partitioned-exchange input: the worker
-/// fragments themselves when the input decomposes into a sharded scan
-/// chain (no double exchange), the serially lowered input otherwise.
-fn lane_producers(input: &LogicalPlan, ctx: &QueryContext) -> Result<Vec<BoxOp>, ExecError> {
-    match shardable_chain(input, ctx.config()) {
-        Some(chain) => {
-            let queue = morsel_queue(&chain, ctx);
-            (0..ctx.worker_threads())
-                .map(|_| build_chain_fragment(&chain, &queue, ctx))
-                .collect()
-        }
-        None => Ok(vec![lower_node(input, ctx, OrderCtx::Free)?]),
-    }
-}
-
-/// Lowers a hash aggregation as a single-lane [`HashPartitionExchange`]:
-/// producers route tuples by group-key hash to `partitions` private
-/// [`HashAggregate`] instances. Group keys are disjoint across partitions,
-/// so the arrival-order union of partition outputs *is* the aggregate —
-/// no merge step. All instances share the plan node's label, so
-/// [`QueryContext::merged_reports`] folds their statistics exactly like
-/// per-worker scan instances.
-fn lower_partitioned_agg(
-    input: &LogicalPlan,
-    keys: &[usize],
-    aggs: &[AggSpec],
-    partitions: usize,
-    ctx: &QueryContext,
-    label: &str,
-) -> Result<BoxOp, ExecError> {
-    let lane = RoutedLane {
-        producers: lane_producers(input, ctx)?,
-        key_cols: keys.to_vec(),
-    };
-    // Hash routing makes no distribution promise, so every partition gets
-    // the full proven bound: in the worst case one consumer sees all
-    // groups.
-    let bound = crate::cost::agg_instance_bound(input, keys, aggs);
-    let group_hint = crate::analyze::group_bound(input, keys);
-    let consumer = |mut sources: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> {
-        let source = sources.pop().expect("one lane");
-        Ok(Box::new(
-            HashAggregate::new(source, keys.to_vec(), aggs.to_vec(), ctx, label)?
-                .with_group_bound(group_hint)
-                .with_tracker(ctx.mem_tracker(label, bound)),
-        ))
-    };
-    let chunk = crate::cost::chunk_bound(input, ctx.vector_size()).max(
-        crate::cost::agg_out_chunk_bound(input, keys, aggs, ctx.vector_size()),
-    );
-    Ok(Box::new(
-        HashPartitionExchange::new(vec![lane], partitions, &consumer)?
-            .tracked(ctx.mem_tracker(format!("{label}/exchange"), chunk)),
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// partitioned hash-join builds
-// ---------------------------------------------------------------------------
-
-/// The planner's partitioning verdict for a hash join: the partition count
-/// (`< 2` means one join instance with a single shared build table).
-///
-/// Partition when either side is itself a sharded scan chain (its
-/// producers are already parallel; a single build would serialize them),
-/// or when the larger side's estimated rows reach
-/// [`ExecConfig::join_min_partition_rows`]. Equal keys route to the same
-/// partition on both lanes, so per-partition joins are exact — but their
-/// outputs union in arrival order, so the caller must not partition under
-/// an ordered ancestor. Also used by the physical EXPLAIN rendering.
-pub(crate) fn join_partition_count(
-    build: &LogicalPlan,
-    probe: &LogicalPlan,
-    cfg: &ExecConfig,
-) -> usize {
-    let partitions = if cfg.join_partitions == 0 {
-        cfg.worker_threads.max(1)
-    } else {
-        cfg.join_partitions
-    };
-    if partitions < 2 {
-        return 1;
-    }
-    if shardable_chain(probe, cfg).is_some() || shardable_chain(build, cfg).is_some() {
-        return partitions;
-    }
-    // Each side's row demand, discounted by its encoded/raw row-width
-    // ratio when its columns arrive dictionary-coded (DESIGN.md §13).
-    let demand = crate::cost::enc_weighted_demand(estimated_rows(build), build, None).max(
-        crate::cost::enc_weighted_demand(estimated_rows(probe), probe, None),
-    );
-    if demand >= cfg.join_min_partition_rows {
-        // Explicit `join_partitions` overrides; auto mode lets the cost
-        // model size the fan-out to the proven demand.
-        return if cfg.join_partitions != 0 {
-            partitions
-        } else {
-            crate::cost::pick_partitions(demand, cfg.join_min_partition_rows, partitions)
-        };
-    }
-    1
-}
-
-/// Lowers a hash join as a two-lane [`HashPartitionExchange`]: the build
-/// side and the probe side each route by their join keys into `partitions`
-/// private [`HashJoin`] instances (P private build tables — no shared
-/// state). Key equality across lanes routes to the same partition, making
-/// the per-partition joins exact for inner, semi, anti and left-single
-/// semantics; the disjoint outputs union in arrival order. All join
-/// instances share the plan node's label, so per-partition bandit
-/// statistics fold through [`QueryContext::merged_reports`].
-fn lower_partitioned_join(
-    plan: &LogicalPlan,
-    partitions: usize,
-    ctx: &QueryContext,
-) -> Result<BoxOp, ExecError> {
-    let LogicalPlan::HashJoin {
-        build,
-        probe,
-        build_keys,
-        probe_keys,
-        payload,
-        kind,
-        bloom,
-        defaults,
-        label,
-        ..
-    } = plan
-    else {
-        unreachable!("lower_partitioned_join is only called on HashJoin nodes");
-    };
-    let lanes = vec![
-        RoutedLane {
-            producers: lane_producers(build, ctx)?,
-            key_cols: build_keys.clone(),
-        },
-        RoutedLane {
-            producers: lane_producers(probe, ctx)?,
-            key_cols: probe_keys.clone(),
-        },
-    ];
-    // Worst case a single partition receives the whole build side, so
-    // each instance carries the full proven bound.
-    let bound = crate::cost::join_build_bound(build, build_keys, payload);
-    let rows_hint = estimated_rows(build);
-    let consumer = |mut sources: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> {
-        let probe_src = sources.pop().expect("probe lane");
-        let build_src = sources.pop().expect("build lane");
-        Ok(Box::new(
-            HashJoin::new(
-                build_src,
-                probe_src,
-                build_keys.clone(),
-                probe_keys.clone(),
-                payload.clone(),
-                *kind,
-                *bloom,
-                defaults.clone(),
-                ctx,
-                label,
-            )?
-            .with_build_rows(rows_hint)
-            .with_tracker(ctx.mem_tracker(label, bound)),
-        ))
-    };
-    let chunk = crate::cost::chunk_bound(build, ctx.vector_size())
-        .max(crate::cost::chunk_bound(probe, ctx.vector_size()))
-        .max(crate::cost::chunk_bound(plan, ctx.vector_size()));
-    Ok(Box::new(
-        HashPartitionExchange::new(lanes, partitions, &consumer)?
-            .tracked(ctx.mem_tracker(format!("{label}/exchange"), chunk)),
-    ))
 }
 
 #[cfg(test)]
@@ -719,8 +247,22 @@ mod tests {
     use crate::plan::{NamedPred, PlanBuilder};
     use crate::CmpKind;
     use ma_primitives::build_dictionary;
-    use ma_vector::{ColumnBuilder, DataType};
+    use ma_vector::{ColumnBuilder, DataType, Table};
     use std::collections::HashMap;
+
+    /// The partition count the physical plan records for `plan`'s root (1
+    /// when the root runs as a single instance).
+    fn root_partitions(plan: &LogicalPlan, cfg: &ExecConfig) -> usize {
+        match plan_physical(plan, cfg).kind {
+            PhysKind::HashPartition { partitions, .. } => partitions,
+            _ => 1,
+        }
+    }
+
+    /// The analyzer's row bound for the whole plan.
+    fn row_bound(plan: &LogicalPlan) -> usize {
+        crate::analyze(plan).facts.rows
+    }
 
     fn ctx_with_workers(workers: usize) -> QueryContext {
         let mut cfg = ExecConfig::fixed_default();
@@ -885,33 +427,29 @@ mod tests {
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
-        let (agg_input, agg_keys) = match &plan {
-            crate::plan::LogicalPlan::HashAgg { input, keys, .. } => (input.as_ref(), &keys[..]),
-            other => panic!("expected HashAgg root, got {other}"),
-        };
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         // Below the default threshold: single.
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(root_partitions(&plan, &cfg), 1);
         // Verdict flip vs the raw row estimate: 1000 input rows used to
         // clear a threshold of 100, but at most 3 groups can exist.
         cfg.agg_min_partition_groups = 100;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(root_partitions(&plan, &cfg), 1);
         // The bound itself gates exactly: threshold == 3 partitions. The
         // cost model sizes P to the demand/threshold ratio (here 1,
         // clamped to the 2-partition minimum), not the worker count.
         cfg.agg_min_partition_groups = 3;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 2);
+        assert_eq!(root_partitions(&plan, &cfg), 2);
         // ... one past it does not.
         cfg.agg_min_partition_groups = 4;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(root_partitions(&plan, &cfg), 1);
         // An explicit partition count overrides worker-following...
         cfg.agg_min_partition_groups = 3;
         cfg.agg_partitions = 2;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 2);
+        assert_eq!(root_partitions(&plan, &cfg), 2);
         // ... and `1` disables partitioning outright.
         cfg.agg_partitions = 1;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(root_partitions(&plan, &cfg), 1);
         // Execution with a forced partition count still matches.
         let mut cfg = ExecConfig::fixed_default();
         cfg.agg_min_partition_groups = 3;
@@ -954,25 +492,25 @@ mod tests {
             .hash_agg(&["v"], vec![count()], "agg")
             .build()
             .unwrap();
-        let (agg_input, agg_keys) = match &plan {
-            LogicalPlan::HashAgg { input, keys, .. } => (input.as_ref(), keys.clone()),
-            other => panic!("expected HashAgg root, got {other}"),
-        };
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         cfg.agg_min_partition_groups = rows;
-        assert_eq!(agg_partition_count(agg_input, &agg_keys, &cfg), 2);
+        assert_eq!(root_partitions(&plan, &cfg), 2);
         cfg.agg_min_partition_groups = rows + 1;
-        assert_eq!(agg_partition_count(agg_input, &agg_keys, &cfg), 1);
+        assert_eq!(root_partitions(&plan, &cfg), 1);
 
         // Grouping by `k` (exactly 7 distinct values) instead caps the
         // bound at the key's NDV, not the 1000-row input: the verdict
         // flips at 7/8 even though every threshold below 1000 used to
         // partition.
+        let by_k = PlanBuilder::scan(&c, "t", &["k", "v"])
+            .hash_agg(&["k"], vec![count()], "agg")
+            .build()
+            .unwrap();
         cfg.agg_min_partition_groups = 7;
-        assert_eq!(agg_partition_count(agg_input, &[0], &cfg), 2);
+        assert_eq!(root_partitions(&by_k, &cfg), 2);
         cfg.agg_min_partition_groups = 8;
-        assert_eq!(agg_partition_count(agg_input, &[0], &cfg), 1);
+        assert_eq!(root_partitions(&by_k, &cfg), 1);
 
         // Join verdict: the larger side (the probe scan, 1000 exact rows)
         // gates identically.
@@ -987,22 +525,19 @@ mod tests {
             )
             .build()
             .unwrap();
-        let LogicalPlan::HashJoin { build, probe, .. } = &join else {
-            panic!("expected HashJoin root");
-        };
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         cfg.join_min_partition_rows = rows;
-        assert_eq!(join_partition_count(build, probe, &cfg), 2);
+        assert_eq!(root_partitions(&join, &cfg), 2);
         cfg.join_min_partition_rows = rows + 1;
-        assert_eq!(join_partition_count(build, probe, &cfg), 1);
+        assert_eq!(root_partitions(&join, &cfg), 1);
         // Explicit partition count overrides worker-following; `1`
         // disables outright.
         cfg.join_min_partition_rows = rows;
         cfg.join_partitions = 2;
-        assert_eq!(join_partition_count(build, probe, &cfg), 2);
+        assert_eq!(root_partitions(&join, &cfg), 2);
         cfg.join_partitions = 1;
-        assert_eq!(join_partition_count(build, probe, &cfg), 1);
+        assert_eq!(root_partitions(&join, &cfg), 1);
     }
 
     #[test]
@@ -1025,16 +560,28 @@ mod tests {
             )
             .build()
             .unwrap();
-        assert_eq!(estimated_rows(&join), 3 * rows);
+        assert_eq!(row_bound(&join), 3 * rows);
         // The aggregation verdict directly above the join gates on the
         // payload key's NDV (`v` is unique over 1000 build rows), not the
         // 3000-row product estimate.
+        let by_v = PlanBuilder::scan(&c, "d", &["dk", "dv"])
+            .hash_join(
+                PlanBuilder::scan(&c, "t", &["k", "v"]),
+                &[("dk", "k")],
+                &["v"],
+                JoinKind::Inner,
+                false,
+                "j",
+            )
+            .hash_agg(&["v"], vec![count()], "agg")
+            .build()
+            .unwrap();
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         cfg.agg_min_partition_groups = rows;
-        assert_eq!(agg_partition_count(&join, &[2], &cfg), 2);
+        assert_eq!(root_partitions(&by_v, &cfg), 2);
         cfg.agg_min_partition_groups = rows + 1;
-        assert_eq!(agg_partition_count(&join, &[2], &cfg), 1);
+        assert_eq!(root_partitions(&by_v, &cfg), 1);
 
         // Semi joins stay probe-bounded exactly: at most one output row
         // per probe tuple, regardless of the build side's size.
@@ -1049,7 +596,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        assert_eq!(estimated_rows(&semi), 3);
+        assert_eq!(row_bound(&semi), 3);
 
         // Merge join: the left key `v` is provably all-distinct (NDV ==
         // row count), so the unique-key contract is proven and the bound
@@ -1063,7 +610,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        assert_eq!(estimated_rows(&mj), 3);
+        assert_eq!(row_bound(&mj), 3);
     }
 
     #[test]
@@ -1085,17 +632,17 @@ mod tests {
         }
         let c = MetaCatalog(catalog(1000));
         let plan = PlanBuilder::scan(&c, "t", &["k", "v"]).build().unwrap();
-        assert_eq!(estimated_rows(&plan), 500_000);
+        assert_eq!(row_bound(&plan), 500_000);
         // The default-impl path (HashMap catalog) reports the exact
         // materialized count, as does `from_table`.
         let default_c = catalog(1000);
         let plan = PlanBuilder::scan(&default_c, "t", &["k", "v"])
             .build()
             .unwrap();
-        assert_eq!(estimated_rows(&plan), 1000);
+        assert_eq!(row_bound(&plan), 1000);
         let t = default_c.get("t").unwrap().clone();
         let plan = PlanBuilder::from_table(t, &["k", "v"]).build().unwrap();
-        assert_eq!(estimated_rows(&plan), 1000);
+        assert_eq!(row_bound(&plan), 1000);
     }
 
     #[test]
@@ -1339,16 +886,38 @@ mod tests {
         // has no stored order to merge by and stays sequential.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
-        let plan = PlanBuilder::scan(&c, "t", &["v", "k"]).build().unwrap();
+        let scan = || Box::new(PlanBuilder::scan(&c, "t", &["v", "k"]).build().unwrap());
+        // A merge join on column `key` of both sides (hand-built: the
+        // builder rejects a non-clustering key outright).
+        let merge_on = |key: usize| LogicalPlan::MergeJoin {
+            left: scan(),
+            right: scan(),
+            left_key: key,
+            right_key: key,
+            payload: vec![],
+            label: "mj".into(),
+            schema: scan().schema().clone(),
+        };
+        // The producer count behind each input's merging exchange.
+        let producers = |plan: &LogicalPlan, cfg: &ExecConfig| -> Vec<usize> {
+            let phys = plan_physical(plan, cfg);
+            phys.children
+                .iter()
+                .map(|c| match c.kind {
+                    PhysKind::Merge { .. } => c.instances,
+                    _ => 1,
+                })
+                .collect()
+        };
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         // Key 0 (`v`) is the clustering column: shards behind a merge.
-        assert_eq!(merge_workers(&plan, 0, &cfg), 4);
+        assert_eq!(producers(&merge_on(0), &cfg), vec![4, 4]);
         // Key 1 (`k`) has no stored order: sequential.
-        assert_eq!(merge_workers(&plan, 1, &cfg), 1);
+        assert_eq!(producers(&merge_on(1), &cfg), vec![1, 1]);
         // Single-worker engines never merge-shard.
         cfg.worker_threads = 1;
-        assert_eq!(merge_workers(&plan, 0, &cfg), 1);
+        assert_eq!(producers(&merge_on(0), &cfg), vec![1, 1]);
     }
 
     #[test]

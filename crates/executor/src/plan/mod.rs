@@ -8,9 +8,10 @@
 //! [`PlanError`]s before any operator exists.
 //!
 //! The result is a [`LogicalPlan`]: a purely declarative operator tree
-//! that knows nothing about threads, morsels or exchanges. [`lower`] — the
-//! physical planner — turns it into a [`crate::BoxOp`] pipeline and owns
-//! every parallelism decision centrally:
+//! that knows nothing about threads, morsels or exchanges. The physical
+//! planner, [`plan_physical`], makes every parallelism decision once and
+//! records it in a [`PhysPlan`], which [`lower`] instantiates as a
+//! [`crate::BoxOp`] pipeline (and which verify, cost and EXPLAIN read):
 //!
 //! * large scans under order-insensitive consumers are sharded into
 //!   morsel-driven worker fragments united by a [`crate::ops::Parallel`]
@@ -25,15 +26,16 @@
 //!   anything else stays sequential. A query author can no longer wire an
 //!   order-destroying exchange under a merge join by accident.
 //!
-//! [`LogicalPlan`] implements [`std::fmt::Display`] as an `EXPLAIN`-style
-//! indented tree with resolved schemas and the planner's ordered-vs-
-//! shardable verdict per scan.
+//! [`LogicalPlan`] and [`PhysPlan`] implement [`std::fmt::Display`] as an
+//! `EXPLAIN`-style indented tree with resolved schemas and the planner's
+//! verdicts (see [`explain_physical`]).
 
 pub(crate) mod builder;
 mod error;
 mod explain;
 pub(crate) mod expr;
 pub(crate) mod lower;
+pub(crate) mod physical;
 
 pub use builder::PlanBuilder;
 pub use error::PlanError;
@@ -43,6 +45,7 @@ pub use expr::{
     sum_i64, Agg, NamedCmpRhs, NamedExpr, NamedPred, SortSpec,
 };
 pub use lower::lower;
+pub use physical::{plan_physical, PhysKind, PhysLane, PhysPlan};
 
 use std::sync::Arc;
 
@@ -95,7 +98,7 @@ pub enum LogicalPlan {
         /// The catalog's exact row count for the table
         /// ([`Catalog::row_count`], captured at plan-build time): the
         /// cardinality anchor the physical planner's partitioning
-        /// verdicts read (`plan::lower::estimated_rows`).
+        /// verdicts read (through the analyzer's row bounds).
         base_rows: usize,
         /// Output schema (post-alias names).
         schema: Schema,
@@ -215,6 +218,20 @@ impl LogicalPlan {
             | LogicalPlan::HashJoin { schema, .. }
             | LogicalPlan::MergeJoin { schema, .. }
             | LogicalPlan::Sort { schema, .. } => schema,
+        }
+    }
+
+    /// The node's inputs: build before probe, left before right.
+    pub(crate) fn inputs(&self) -> Vec<&LogicalPlan> {
+        match self {
+            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::HashAgg { input, .. }
+            | LogicalPlan::StreamAgg { input, .. }
+            | LogicalPlan::Sort { input, .. } => vec![input],
+            LogicalPlan::HashJoin { build, probe, .. } => vec![build, probe],
+            LogicalPlan::MergeJoin { left, right, .. } => vec![left, right],
         }
     }
 }

@@ -1,30 +1,29 @@
-//! Independent plan-invariant verifier.
+//! Plan-invariant verifier.
 //!
-//! [`lower`](crate::plan::lower) *establishes* a set of invariants when it
+//! [`lower`](crate::plan::lower) *relies on* a set of invariants when it
 //! turns a [`LogicalPlan`] into a physical pipeline: schemas stay
 //! consistent node to node, merge joins only ever see provably key-sorted
 //! inputs, order-destroying exchanges never end up under order-sensitive
 //! ancestors, partitioned exchanges route both lanes with agreeing keys,
 //! and every primitive-instantiating node carries a unique stats label.
-//! This module *re-checks* those invariants from scratch, sharing none of
-//! the lowering code paths that could hide a common bug:
+//! This module checks them in two phases:
 //!
 //! 1. **Logical walk** ([`verify`], first phase): re-derives every node's
 //!    output schema bottom-up from expression/aggregate/join typing rules
 //!    and compares it against the schema the node declares; re-proves
 //!    merge-join input sortedness structurally; enforces stats-label
 //!    uniqueness across instantiating nodes; rejects float partition
-//!    keys with a typed error instead of a worker-thread panic.
-//! 2. **Physical sketch** ([`sketch`] + [`verify_sketch`]): a miniature
-//!    IR of the planner's exchange placement ([`PhysSketch`]). `sketch`
-//!    mirrors the planner's own verdict functions (sharding, merging,
-//!    partition counts) to predict where exchanges go; `verify_sketch`
-//!    then walks the sketch with an ordered-context flag and checks the
-//!    exchange-placement rules — no [`PhysSketch::Parallel`] or
-//!    [`PhysSketch::HashPartition`] under an ordered ancestor outside a
-//!    [`PhysSketch::Materialize`] boundary, lanes agree on key
-//!    count/class and partition count, no zero-lane consumers, no empty
-//!    producer sets, merge keys are single ascending integers.
+//!    keys with a typed error instead of a worker-thread panic. It
+//!    re-derives types and schemas instead of trusting what the builder
+//!    declared, so it catches builder bugs.
+//! 2. **Physical plan** ([`verify_physical`]): walks the [`PhysPlan`]
+//!    that [`plan_physical`](crate::plan::plan_physical) builds — the
+//!    very plan `lower` instantiates — with an ordered-context flag and
+//!    checks the exchange-placement rules: no [`PhysKind::Parallel`] or
+//!    [`PhysKind::HashPartition`] under a merge join without a
+//!    materialization boundary (sort, aggregate, join build) in between,
+//!    lanes agree on key count/class and partition count, no zero-lane
+//!    consumers, no empty producer sets, merge keys are single integers.
 //!
 //! In debug builds [`lower`](crate::plan::lower()) runs [`verify`] on
 //! every plan before lowering it, so any test executing a query exercises
@@ -37,16 +36,15 @@ use std::collections::HashSet;
 
 use ma_vector::{DataType, Schema};
 
+use crate::analyze::{AnalysisError, RowBounds};
 use crate::config::ExecConfig;
 use crate::expr::{CmpRhs, Expr, Pred};
 use crate::ops::{AggSpec, JoinKind, ProjItem};
 use crate::plan::builder::clustered_key_chain;
-use crate::plan::lower::{
-    agg_partition_count, child_order, join_partition_count, merge_workers, shard_workers, OrderCtx,
-};
-use crate::plan::LogicalPlan;
+use crate::plan::physical::plan_with;
+use crate::plan::{LogicalPlan, PhysKind, PhysPlan};
 
-/// A plan invariant violation found by [`verify`] or [`verify_sketch`].
+/// A plan invariant violation found by [`verify`] or [`verify_physical`].
 ///
 /// Every variant names one distinct way a plan can be ill-formed, so
 /// tests can assert the *specific* failure and error messages can say
@@ -137,7 +135,7 @@ pub enum VerifyError {
     /// An order-destroying exchange sits under an order-sensitive
     /// ancestor without a materialization boundary in between.
     OrderViolation {
-        /// The offending sketch node (`"Parallel"` or `"HashPartition"`).
+        /// The offending exchange (`"Parallel"` or `"HashPartition"`).
         node: &'static str,
     },
     /// Two lanes of one partitioned exchange disagree on a key type
@@ -173,7 +171,7 @@ pub enum VerifyError {
     },
     /// An exchange with zero workers/partitions.
     EmptyExchange {
-        /// The offending sketch node.
+        /// The offending exchange.
         node: &'static str,
     },
     /// The abstract interpreter (phase 3, [`mod@crate::analyze`]) proved a
@@ -308,27 +306,31 @@ impl std::error::Error for VerifyError {}
 
 /// Verifies every invariant of `plan` that [`crate::lower`] relies on:
 /// the logical walk (schemas, types, labels, merge-input sortedness),
-/// then the physical sketch ([`sketch`] + [`verify_sketch`]) for the
-/// exchange placement `cfg` would produce. `Ok(())` means the plan is
-/// safe to lower under `cfg`.
+/// then [`verify_physical`] over the plan
+/// [`plan_physical`](crate::plan::plan_physical) builds for `cfg` — the
+/// one `lower` will instantiate. `Ok(())` means the plan is safe to lower
+/// under `cfg`.
 pub fn verify(plan: &LogicalPlan, cfg: &ExecConfig) -> Result<(), VerifyError> {
     let mut labels = HashSet::new();
     check_plan(plan, &mut labels)?;
-    verify_sketch(&sketch(plan, cfg))?;
+    // One analysis pass feeds both the planner's bounds and phase 3.
+    let (bounds, findings) = RowBounds::with_findings(plan);
+    let phys = plan_with(plan, cfg, bounds);
+    verify_physical(&phys)?;
     // Phase 3: abstract interpretation. Only *hazards* (reachable traps)
     // fail verification; warnings (possible wraps, checked-panic sum
     // bounds, contradictions) are reported by `crate::analyze::analyze`
     // and the `repro analyze` CLI instead — see
     // `AnalysisError::is_hazard` for the rationale.
-    if let Some(err) = crate::analyze::analyze(plan).first_hazard() {
-        return Err(VerifyError::Analysis { err: err.clone() });
+    if let Some(err) = findings.into_iter().find(AnalysisError::is_hazard) {
+        return Err(VerifyError::Analysis { err });
     }
     // Phase 4: memory/cost bounds. Budget findings are warnings by
     // default (surfaced by `repro analyze` / `repro mem`); under
     // `strict_memory` a plan whose proven peak exceeds the budget is
     // rejected before any operator allocates.
     if cfg.strict_memory {
-        let report = crate::cost::cost(plan, cfg);
+        let report = crate::cost::cost_of(&phys, cfg);
         if report.peak_bytes > cfg.memory_budget {
             return Err(VerifyError::MemoryBudget {
                 peak_bytes: report.peak_bytes,
@@ -785,230 +787,19 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
 }
 
 // ---------------------------------------------------------------------------
-// phase 2: the physical sketch
+// phase 2: the physical plan
 // ---------------------------------------------------------------------------
 
-/// One routed lane of a [`PhysSketch::HashPartition`] exchange.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneSketch {
-    /// Producer fragments feeding the lane.
-    pub producers: usize,
-    /// The types of the columns the lane routes by (raw, before
-    /// normalization; [`verify_sketch`] compares *classes*: all integer
-    /// widths hash as `i64`).
-    pub key_types: Vec<DataType>,
-    /// The partition count the lane routes to.
-    pub partitions: usize,
-    /// The producer-side sub-plan (empty [`PhysSketch::Seq`] when the
-    /// producers are inlined scan fragments).
-    pub input: PhysSketch,
-}
-
-/// A miniature IR of the physical planner's exchange placement, built by
-/// [`sketch`] and independently checked by [`verify_sketch`].
-///
-/// The sketch keeps exactly what the exchange-placement invariants need —
-/// where parallelism is introduced, where order is materialized away, and
-/// how partitioned lanes route — and drops everything else (predicates,
-/// projections, operator internals). It is public so tests can hand-build
-/// ill-formed shapes that [`sketch`] itself would never produce and prove
-/// [`verify_sketch`] rejects them.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhysSketch {
-    /// A sequential node: order flows through unchanged.
-    Seq {
-        /// Child sub-plans (empty at leaves).
-        children: Vec<PhysSketch>,
-    },
-    /// A materialization boundary (sort, aggregate, join build): the
-    /// node re-establishes or discards order, so children run unordered.
-    Materialize {
-        /// Child sub-plans.
-        children: Vec<PhysSketch>,
-    },
-    /// An order-sensitive consumer (merge join): children must preserve
-    /// key order.
-    Ordered {
-        /// Child sub-plans.
-        children: Vec<PhysSketch>,
-    },
-    /// A morsel-sharded scan chain united in arrival order.
-    Parallel {
-        /// Worker fragment count.
-        workers: usize,
-    },
-    /// A morsel-sharded scan chain re-merged into key order.
-    Merge {
-        /// Producer fragment count.
-        producers: usize,
-        /// Merge key columns (must be exactly one).
-        key_cols: Vec<usize>,
-        /// Merge key types (must be integer).
-        key_types: Vec<DataType>,
-    },
-    /// A hash-partitioned exchange: lanes route producer tuples by key
-    /// hash to `partitions` private consumers.
-    HashPartition {
-        /// Consumer partition count.
-        partitions: usize,
-        /// Routed input lanes (one for aggregation, two for join
-        /// build/probe).
-        lanes: Vec<LaneSketch>,
-    },
-}
-
-/// Predicts the exchange placement [`crate::lower`] would produce for
-/// `plan` under `cfg`, using the planner's own verdict functions (shard/
-/// merge worker counts, aggregate/join partition counts) over a fresh
-/// tree walk. Feed the result to [`verify_sketch`].
-pub fn sketch(plan: &LogicalPlan, cfg: &ExecConfig) -> PhysSketch {
-    sketch_node(plan, cfg, OrderCtx::Free)
-}
-
-/// Lane producer count + producer-side sub-sketch, mirroring the
-/// planner's `lane_producers`: inlined worker fragments when the input
-/// shards, one serially-lowered producer otherwise.
-fn lane_sketch(
-    input: &LogicalPlan,
-    keys: &[usize],
-    cfg: &ExecConfig,
-    partitions: usize,
-) -> LaneSketch {
-    let key_types = keys
-        .iter()
-        .map(|&k| {
-            input
-                .schema()
-                .fields()
-                .get(k)
-                .map_or(DataType::I64, |f| f.ty)
-        })
-        .collect();
-    let workers = shard_workers(input, cfg);
-    if workers >= 2 {
-        LaneSketch {
-            producers: workers,
-            key_types,
-            partitions,
-            input: PhysSketch::Seq { children: vec![] },
-        }
-    } else {
-        LaneSketch {
-            producers: 1,
-            key_types,
-            partitions,
-            input: sketch_node(input, cfg, OrderCtx::Free),
-        }
-    }
-}
-
-fn sketch_node(plan: &LogicalPlan, cfg: &ExecConfig, order: OrderCtx) -> PhysSketch {
-    // Exchange introduction mirrors `lower_node`'s order match: a free
-    // pipeline shards into an arrival-order union, an ordered pipeline
-    // shards behind a merging exchange when the key provably carries the
-    // clustering order, and pinned pipelines stay sequential.
-    match order {
-        OrderCtx::Free => {
-            let workers = shard_workers(plan, cfg);
-            if workers >= 2 {
-                return PhysSketch::Parallel { workers };
-            }
-        }
-        OrderCtx::Key(key) => {
-            let producers = merge_workers(plan, key, cfg);
-            if producers >= 2 {
-                let ty = plan
-                    .schema()
-                    .fields()
-                    .get(key)
-                    .map_or(DataType::I64, |f| f.ty);
-                return PhysSketch::Merge {
-                    producers,
-                    key_cols: vec![key],
-                    key_types: vec![ty],
-                };
-            }
-        }
-        OrderCtx::Pinned => {}
-    }
-    match plan {
-        LogicalPlan::Scan { .. } => PhysSketch::Seq { children: vec![] },
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => PhysSketch::Seq {
-            children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-        },
-        LogicalPlan::HashAgg { input, keys, .. } => {
-            let partitions = if order == OrderCtx::Free {
-                agg_partition_count(input, keys, cfg)
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                PhysSketch::HashPartition {
-                    partitions,
-                    lanes: vec![lane_sketch(input, keys, cfg, partitions)],
-                }
-            } else {
-                PhysSketch::Materialize {
-                    children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-                }
-            }
-        }
-        LogicalPlan::StreamAgg { input, .. } => PhysSketch::Materialize {
-            children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-        },
-        LogicalPlan::HashJoin {
-            build,
-            probe,
-            build_keys,
-            probe_keys,
-            ..
-        } => {
-            let partitions = if order == OrderCtx::Free {
-                join_partition_count(build, probe, cfg)
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                PhysSketch::HashPartition {
-                    partitions,
-                    lanes: vec![
-                        lane_sketch(build, build_keys, cfg, partitions),
-                        lane_sketch(probe, probe_keys, cfg, partitions),
-                    ],
-                }
-            } else {
-                PhysSketch::Seq {
-                    children: vec![
-                        PhysSketch::Materialize {
-                            children: vec![sketch_node(build, cfg, child_order(plan, 0, order))],
-                        },
-                        sketch_node(probe, cfg, child_order(plan, 1, order)),
-                    ],
-                }
-            }
-        }
-        LogicalPlan::MergeJoin { left, right, .. } => PhysSketch::Ordered {
-            children: vec![
-                sketch_node(left, cfg, child_order(plan, 0, order)),
-                sketch_node(right, cfg, child_order(plan, 1, order)),
-            ],
-        },
-        LogicalPlan::Sort { input, .. } => PhysSketch::Materialize {
-            children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-        },
-    }
-}
-
-/// Checks a physical sketch's exchange-placement invariants: no
-/// order-destroying exchange ([`PhysSketch::Parallel`],
-/// [`PhysSketch::HashPartition`]) under an order-sensitive ancestor
-/// without an intervening [`PhysSketch::Materialize`]; merging exchanges
-/// carry exactly one ascending integer key; partitioned lanes agree on
-/// key count, key type class (i16/i32 hash as i64) and partition count;
-/// and no exchange is degenerate (zero lanes, empty producer sets, zero
-/// workers/partitions).
-pub fn verify_sketch(s: &PhysSketch) -> Result<(), VerifyError> {
-    walk_sketch(s, false)
+/// Checks a physical plan's exchange-placement invariants: no
+/// order-destroying exchange ([`PhysKind::Parallel`],
+/// [`PhysKind::HashPartition`]) under an order-sensitive ancestor (a
+/// merge join) without an intervening materialization boundary (a sort,
+/// an aggregate, a join build); merging exchanges carry exactly one
+/// integer key; partitioned lanes agree on key count, key type class
+/// (i16/i32 hash as i64) and partition count; and no exchange is
+/// degenerate (zero lanes, empty producer sets, zero workers/partitions).
+pub fn verify_physical(plan: &PhysPlan<'_>) -> Result<(), VerifyError> {
+    walk_physical(plan, false)
 }
 
 fn key_class(ty: DataType) -> DataType {
@@ -1018,41 +809,24 @@ fn key_class(ty: DataType) -> DataType {
     }
 }
 
-fn walk_sketch(s: &PhysSketch, ordered: bool) -> Result<(), VerifyError> {
-    match s {
-        PhysSketch::Seq { children } => {
-            for c in children {
-                walk_sketch(c, ordered)?;
-            }
-            Ok(())
-        }
-        PhysSketch::Materialize { children } => {
-            for c in children {
-                walk_sketch(c, false)?;
-            }
-            Ok(())
-        }
-        PhysSketch::Ordered { children } => {
-            for c in children {
-                walk_sketch(c, true)?;
-            }
-            Ok(())
-        }
-        PhysSketch::Parallel { workers } => {
+/// `ordered`: an order-sensitive ancestor consumes this node's output
+/// with no materialization boundary in between.
+fn walk_physical(p: &PhysPlan<'_>, ordered: bool) -> Result<(), VerifyError> {
+    match &p.kind {
+        PhysKind::Parallel { .. } => {
             if ordered {
                 return Err(VerifyError::OrderViolation { node: "Parallel" });
             }
-            if *workers == 0 {
+            if p.instances == 0 {
                 return Err(VerifyError::EmptyExchange { node: "Parallel" });
             }
-            Ok(())
         }
-        PhysSketch::Merge {
-            producers,
+        PhysKind::Merge {
             key_cols,
             key_types,
+            ..
         } => {
-            if *producers == 0 {
+            if p.instances == 0 {
                 return Err(VerifyError::EmptyExchange { node: "Merge" });
             }
             if key_cols.len() != 1 {
@@ -1065,9 +839,10 @@ fn walk_sketch(s: &PhysSketch, ordered: bool) -> Result<(), VerifyError> {
                     return Err(VerifyError::NonIntegerMergeKey { ty: t });
                 }
             }
-            Ok(())
         }
-        PhysSketch::HashPartition { partitions, lanes } => {
+        PhysKind::HashPartition {
+            partitions, lanes, ..
+        } => {
             if ordered {
                 return Err(VerifyError::OrderViolation {
                     node: "HashPartition",
@@ -1115,17 +890,29 @@ fn walk_sketch(s: &PhysSketch, ordered: bool) -> Result<(), VerifyError> {
                         });
                     }
                 }
-                walk_sketch(&lane.input, false)?;
+                walk_physical(&lane.input, false)?;
             }
-            Ok(())
         }
+        _ => {}
     }
+    for (i, child) in p.children.iter().enumerate() {
+        let child_ordered = match p.kind {
+            // Materialization boundaries re-establish or discard order.
+            PhysKind::Sort | PhysKind::HashAgg { .. } | PhysKind::StreamAgg => false,
+            // A join build materializes; its probe streams.
+            PhysKind::HashJoin { .. } => ordered && i == 1,
+            PhysKind::MergeJoin => true,
+            _ => ordered,
+        };
+        walk_physical(child, child_ordered)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{col, count, sum_i64, NamedPred, PlanBuilder};
+    use crate::plan::{col, count, plan_physical, sum_i64, NamedPred, PlanBuilder};
     use crate::{CmpKind, Value};
     use ma_vector::{ColumnBuilder, Table};
     use std::collections::HashMap;
@@ -1177,15 +964,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_agg_sketches_as_partition_exchange() {
+    fn sharded_agg_plans_as_partition_exchange() {
         let c = catalog(40_000);
         let plan = PlanBuilder::scan(&c, "t", &["k", "id"])
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
-        let s = sketch(&plan, &cfg(4));
-        match &s {
-            PhysSketch::HashPartition { partitions, lanes } => {
+        let p = plan_physical(&plan, &cfg(4));
+        match &p.kind {
+            PhysKind::HashPartition {
+                partitions, lanes, ..
+            } => {
                 assert_eq!(*partitions, 4);
                 assert_eq!(lanes.len(), 1);
                 assert_eq!(lanes[0].producers, 4);
@@ -1193,43 +982,39 @@ mod tests {
             }
             other => panic!("expected HashPartition, got {other:?}"),
         }
-        verify_sketch(&s).unwrap();
+        verify_physical(&p).unwrap();
     }
 
     #[test]
-    fn single_worker_sketch_is_sequential() {
+    fn single_worker_plan_is_sequential() {
         let c = catalog(40_000);
         let plan = PlanBuilder::scan(&c, "t", &["k", "id"])
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
-        assert_eq!(
-            sketch(&plan, &cfg(1)),
-            PhysSketch::Materialize {
-                children: vec![PhysSketch::Seq { children: vec![] }]
-            }
-        );
+        let p = plan_physical(&plan, &cfg(1));
+        assert!(matches!(p.kind, PhysKind::HashAgg { .. }), "{p}");
+        assert_eq!(p.instances, 1);
+        assert_eq!(p.children.len(), 1);
+        assert!(matches!(p.children[0].kind, PhysKind::Scan { .. }));
+        assert!(p.children[0].children.is_empty());
     }
 
     #[test]
-    fn merge_join_over_clustered_scans_sketches_merges() {
+    fn merge_join_over_clustered_scans_plans_merges() {
         let c = catalog(40_000);
         let left = PlanBuilder::scan(&c, "t", &["id", "k"]);
         let plan = PlanBuilder::scan(&c, "t", &["id as rid"])
             .merge_join(left, ("rid", "id"), &["k"], "mj")
             .build()
             .unwrap();
-        let s = sketch(&plan, &cfg(4));
-        match &s {
-            PhysSketch::Ordered { children } => {
-                for child in children {
-                    assert!(
-                        matches!(child, PhysSketch::Merge { producers: 4, .. }),
-                        "expected Merge under Ordered, got {child:?}"
-                    );
-                }
-            }
-            other => panic!("expected Ordered, got {other:?}"),
+        let p = plan_physical(&plan, &cfg(4));
+        assert!(matches!(p.kind, PhysKind::MergeJoin), "{p}");
+        for child in &p.children {
+            assert!(
+                matches!(child.kind, PhysKind::Merge { .. }) && child.instances == 4,
+                "expected Merge under MergeJoin, got {child:?}"
+            );
         }
         verify(&plan, &cfg(4)).unwrap();
     }

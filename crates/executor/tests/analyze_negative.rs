@@ -1,7 +1,7 @@
 //! Negative suite for the abstract-interpretation pass: each
 //! [`AnalysisError`] variant is produced by a purpose-built plan whose
 //! hazard is *provable from base-table statistics alone* — mirroring
-//! `verify_negative.rs` for the verifier's logical/sketch phases.
+//! `verify_negative.rs` for the verifier's logical/physical phases.
 //!
 //! The severity split is pinned here too: only `DivByZeroReachable` is a
 //! hazard (it aborts `verify`), while overflow and contradiction findings

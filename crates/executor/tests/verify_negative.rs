@@ -1,13 +1,13 @@
 //! Negative suite for the plan-invariant verifier: hand-built ill-formed
-//! plans and physical sketches, each rejected with its *specific* typed
+//! logical and physical plans, each rejected with its *specific* typed
 //! [`VerifyError`] variant.
 //!
-//! The [`PlanBuilder`] API makes most of these shapes unrepresentable —
-//! which is exactly why the verifier must be tested against hand-built
-//! [`LogicalPlan`] / [`PhysSketch`] values: it is the safety net for plan
-//! *producers other than the builder* (future optimizer rewrites,
-//! deserialized plans, test rigs) and for regressions in the builder
-//! itself.
+//! The [`PlanBuilder`] API and the physical planner make most of these
+//! shapes unrepresentable — which is exactly why the verifier must be
+//! tested against hand-built [`LogicalPlan`] / [`PhysPlan`] values: it is
+//! the safety net for plan *producers other than the builder* (future
+//! optimizer rewrites, deserialized plans, test rigs) and for regressions
+//! in the builder and the planner themselves.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,8 +15,8 @@ use std::sync::Arc;
 use ma_executor::ops::{AggSpec, ProjItem, SortKey};
 use ma_executor::plan::PlanBuilder;
 use ma_executor::{
-    sketch, verify, verify_sketch, ExecConfig, LaneSketch, LogicalPlan, PhysSketch, Pred,
-    VerifyError,
+    plan_physical, verify, verify_physical, ExecConfig, LogicalPlan, PhysKind, PhysLane, PhysPlan,
+    Pred, VerifyError,
 };
 use ma_vector::{ColumnBuilder, DataType, Field, Schema, Table};
 
@@ -215,26 +215,89 @@ fn column_out_of_range_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// sketch-walk rejections (hand-built PhysSketches)
+// physical-plan rejections (hand-built PhysPlans)
 // ---------------------------------------------------------------------------
 
-fn lane(producers: usize, key_types: Vec<DataType>, partitions: usize) -> LaneSketch {
-    LaneSketch {
+/// A hand-built physical node. The verifier reads only the shape (kind,
+/// instances, children, lanes), so every node may point at one logical
+/// stand-in.
+fn node<'a>(
+    logical: &'a LogicalPlan,
+    kind: PhysKind<'a>,
+    instances: usize,
+    children: Vec<PhysPlan<'a>>,
+) -> PhysPlan<'a> {
+    PhysPlan {
+        id: 0,
+        label: String::new(),
+        kind,
+        instances,
+        per_instance_bytes: 0,
+        work: 0,
+        children,
+        logical,
+    }
+}
+
+fn leaf(logical: &LogicalPlan) -> PhysPlan<'_> {
+    node(logical, PhysKind::Scan { ordered: false }, 1, vec![])
+}
+
+/// An order-sensitive consumer (merge join) over `children`.
+fn ordered<'a>(logical: &'a LogicalPlan, children: Vec<PhysPlan<'a>>) -> PhysPlan<'a> {
+    node(logical, PhysKind::MergeJoin, 1, children)
+}
+
+fn parallel(logical: &LogicalPlan, workers: usize) -> PhysPlan<'_> {
+    let kind = PhysKind::Parallel { chunk_bytes: 0 };
+    node(logical, kind, workers, vec![leaf(logical)])
+}
+
+fn merge(logical: &LogicalPlan, key_cols: Vec<usize>, key_types: Vec<DataType>) -> PhysPlan<'_> {
+    let kind = PhysKind::Merge {
+        key_cols,
+        key_types,
+        chunk_bytes: 0,
+    };
+    node(logical, kind, 4, vec![leaf(logical)])
+}
+
+fn lane(
+    logical: &LogicalPlan,
+    producers: usize,
+    key_types: Vec<DataType>,
+    partitions: usize,
+) -> PhysLane<'_> {
+    PhysLane {
         producers,
+        key_cols: (0..key_types.len()).collect(),
         key_types,
         partitions,
-        input: PhysSketch::Seq { children: vec![] },
+        input: leaf(logical),
     }
+}
+
+fn partition<'a>(
+    logical: &'a LogicalPlan,
+    partitions: usize,
+    lanes: Vec<PhysLane<'a>>,
+) -> PhysPlan<'a> {
+    let kind = PhysKind::HashPartition {
+        partitions,
+        lanes,
+        chunk_bytes: 0,
+    };
+    node(logical, kind, 2, vec![])
 }
 
 /// An arrival-order exchange under an order-sensitive ancestor would
 /// interleave worker streams and break the merge contract.
 #[test]
 fn parallel_under_ordered_ancestor_rejected() {
-    let s = PhysSketch::Ordered {
-        children: vec![PhysSketch::Parallel { workers: 4 }],
-    };
-    match verify_sketch(&s) {
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    let s = ordered(&scan, vec![parallel(&scan, 4)]);
+    match verify_physical(&s) {
         Err(VerifyError::OrderViolation { node: "Parallel" }) => {}
         other => panic!("expected OrderViolation, got {other:?}"),
     }
@@ -244,28 +307,34 @@ fn parallel_under_ordered_ancestor_rejected() {
 /// (sort, aggregate, join build) resets the order requirement first.
 #[test]
 fn partition_under_ordered_ancestor_rejected_unless_materialized() {
-    let bad = PhysSketch::Ordered {
-        children: vec![PhysSketch::HashPartition {
-            partitions: 2,
-            lanes: vec![lane(2, vec![DataType::I64], 2)],
-        }],
-    };
-    match verify_sketch(&bad) {
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    let bad = ordered(
+        &scan,
+        vec![partition(
+            &scan,
+            2,
+            vec![lane(&scan, 2, vec![DataType::I64], 2)],
+        )],
+    );
+    match verify_physical(&bad) {
         Err(VerifyError::OrderViolation {
             node: "HashPartition",
         }) => {}
         other => panic!("expected OrderViolation, got {other:?}"),
     }
-    // A Materialize boundary legalizes the identical subtree.
-    let ok = PhysSketch::Ordered {
-        children: vec![PhysSketch::Materialize {
-            children: vec![PhysSketch::HashPartition {
-                partitions: 2,
-                lanes: vec![lane(2, vec![DataType::I64], 2)],
-            }],
-        }],
-    };
-    verify_sketch(&ok).unwrap();
+    // A sort boundary legalizes the identical subtree.
+    let sort = node(
+        &scan,
+        PhysKind::Sort,
+        1,
+        vec![partition(
+            &scan,
+            2,
+            vec![lane(&scan, 2, vec![DataType::I64], 2)],
+        )],
+    );
+    verify_physical(&ordered(&scan, vec![sort])).unwrap();
 }
 
 /// Lanes routing by different key type classes would hash equal keys to
@@ -273,14 +342,17 @@ fn partition_under_ordered_ancestor_rejected_unless_materialized() {
 /// mismatch; str vs integer is).
 #[test]
 fn lane_key_type_mismatch_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![
-            lane(2, vec![DataType::I32], 2), // normalizes to i64
-            lane(1, vec![DataType::Str], 2),
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    let s = partition(
+        &scan,
+        2,
+        vec![
+            lane(&scan, 2, vec![DataType::I32], 2), // normalizes to i64
+            lane(&scan, 1, vec![DataType::Str], 2),
         ],
-    };
-    match verify_sketch(&s) {
+    );
+    match verify_physical(&s) {
         Err(VerifyError::LaneKeyTypeMismatch {
             lane: 1,
             pos: 0,
@@ -290,28 +362,32 @@ fn lane_key_type_mismatch_rejected() {
         other => panic!("expected LaneKeyTypeMismatch, got {other:?}"),
     }
     // The i16/i32/i64 widths agree by normalization.
-    let ok = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![
-            lane(2, vec![DataType::I32], 2),
-            lane(1, vec![DataType::I64], 2),
+    let ok = partition(
+        &scan,
+        2,
+        vec![
+            lane(&scan, 2, vec![DataType::I32], 2),
+            lane(&scan, 1, vec![DataType::I64], 2),
         ],
-    };
-    verify_sketch(&ok).unwrap();
+    );
+    verify_physical(&ok).unwrap();
 }
 
 /// A lane routing to a different partition count than the exchange's
 /// consumers would drop or misroute every tuple hashed past the end.
 #[test]
 fn partition_count_mismatch_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 4,
-        lanes: vec![
-            lane(2, vec![DataType::I64], 4),
-            lane(1, vec![DataType::I64], 2),
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    let s = partition(
+        &scan,
+        4,
+        vec![
+            lane(&scan, 2, vec![DataType::I64], 4),
+            lane(&scan, 1, vec![DataType::I64], 2),
         ],
-    };
-    match verify_sketch(&s) {
+    );
+    match verify_physical(&s) {
         Err(VerifyError::PartitionCountMismatch {
             lane: 1,
             expected: 4,
@@ -325,11 +401,9 @@ fn partition_count_mismatch_rejected() {
 /// and hang teardown.
 #[test]
 fn zero_lane_consumer_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![],
-    };
-    match verify_sketch(&s) {
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    match verify_physical(&partition(&scan, 2, vec![])) {
         Err(VerifyError::ZeroLaneConsumer) => {}
         other => panic!("expected ZeroLaneConsumer, got {other:?}"),
     }
@@ -339,14 +413,17 @@ fn zero_lane_consumer_rejected() {
 /// silently yields an empty partition stream.
 #[test]
 fn empty_lane_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![
-            lane(2, vec![DataType::I64], 2),
-            lane(0, vec![DataType::I64], 2),
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    let s = partition(
+        &scan,
+        2,
+        vec![
+            lane(&scan, 2, vec![DataType::I64], 2),
+            lane(&scan, 0, vec![DataType::I64], 2),
         ],
-    };
-    match verify_sketch(&s) {
+    );
+    match verify_physical(&s) {
         Err(VerifyError::EmptyLane { lane: 1 }) => {}
         other => panic!("expected EmptyLane, got {other:?}"),
     }
@@ -356,12 +433,10 @@ fn empty_lane_rejected() {
 /// keys get a descriptive typed error, not silent wrong answers.
 #[test]
 fn composite_merge_key_rejected() {
-    let s = PhysSketch::Merge {
-        producers: 4,
-        key_cols: vec![0, 1],
-        key_types: vec![DataType::I64, DataType::I64],
-    };
-    match verify_sketch(&s) {
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    let s = merge(&scan, vec![0, 1], vec![DataType::I64, DataType::I64]);
+    match verify_physical(&s) {
         Err(VerifyError::CompositeMergeKey { keys: 2 }) => {}
         other => panic!("expected CompositeMergeKey, got {other:?}"),
     }
@@ -370,12 +445,9 @@ fn composite_merge_key_rejected() {
 /// Non-integer merge keys cannot drive the K-way comparison.
 #[test]
 fn non_integer_merge_key_rejected() {
-    let s = PhysSketch::Merge {
-        producers: 4,
-        key_cols: vec![0],
-        key_types: vec![DataType::Str],
-    };
-    match verify_sketch(&s) {
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    match verify_physical(&merge(&scan, vec![0], vec![DataType::Str])) {
         Err(VerifyError::NonIntegerMergeKey { ty: DataType::Str }) => {}
         other => panic!("expected NonIntegerMergeKey, got {other:?}"),
     }
@@ -384,15 +456,18 @@ fn non_integer_merge_key_rejected() {
 /// Degenerate exchanges (zero workers) are rejected outright.
 #[test]
 fn empty_exchange_rejected() {
-    match verify_sketch(&PhysSketch::Parallel { workers: 0 }) {
+    let c = catalog(100);
+    let scan = base_scan(&c);
+    match verify_physical(&parallel(&scan, 0)) {
         Err(VerifyError::EmptyExchange { node: "Parallel" }) => {}
         other => panic!("expected EmptyExchange, got {other:?}"),
     }
 }
 
-/// End-to-end: the sketch the verifier builds for a well-formed sharded
-/// plan passes its own checks (the negative cases above are unreachable
-/// from `sketch` — that is the point of hand-building them).
+/// End-to-end: the physical plan the planner builds for a well-formed
+/// sharded plan passes its own checks (the negative cases above are
+/// unreachable from `plan_physical` — that is the point of hand-building
+/// them).
 #[test]
 fn sketch_of_well_formed_plan_passes() {
     let c = catalog(100_000);
@@ -406,6 +481,11 @@ fn sketch_of_well_formed_plan_passes() {
         .unwrap();
     let mut cfg = cfg();
     cfg.worker_threads = 4;
-    verify_sketch(&sketch(&plan, &cfg)).unwrap();
+    let phys = plan_physical(&plan, &cfg);
+    assert!(matches!(
+        phys.kind,
+        PhysKind::HashPartition { partitions: 4, .. }
+    ));
+    verify_physical(&phys).unwrap();
     verify(&plan, &cfg).unwrap();
 }

@@ -15,10 +15,12 @@
 //! prefix convention, unique *across* queries too, so a whole-benchmark
 //! stats dump never aliases two primitives.
 
-use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-use ma_executor::{sketch, verify, ExecConfig, LogicalPlan, PhysSketch};
+use ma_executor::{
+    plan_physical, verify, ExecConfig, LogicalPlan, PhysKind, PhysPlan, QueryContext,
+};
 use ma_tpch::queries::query_plan;
 use ma_tpch::{Params, TpchData};
 
@@ -39,27 +41,16 @@ fn config(workers: usize, agg_p: usize, join_p: usize, vsize: usize) -> ExecConf
     cfg
 }
 
-/// Counts exchange nodes in a sketch so the sweep can prove it exercised
-/// non-sequential shapes (a vacuously-sequential sweep would pass
-/// trivially).
-fn count_exchanges(s: &PhysSketch, tally: &mut (usize, usize, usize)) {
-    match s {
-        PhysSketch::Seq { children }
-        | PhysSketch::Materialize { children }
-        | PhysSketch::Ordered { children } => {
-            for c in children {
-                count_exchanges(c, tally);
-            }
-        }
-        PhysSketch::Parallel { .. } => tally.0 += 1,
-        PhysSketch::Merge { .. } => tally.1 += 1,
-        PhysSketch::HashPartition { lanes, .. } => {
-            tally.2 += 1;
-            for lane in lanes {
-                count_exchanges(&lane.input, tally);
-            }
-        }
-    }
+/// Counts exchange nodes in a physical plan so the sweep can prove it
+/// exercised non-sequential shapes (a vacuously-sequential sweep would
+/// pass trivially).
+fn count_exchanges(p: &PhysPlan<'_>, tally: &mut (usize, usize, usize)) {
+    p.visit(&mut |node| match node.kind {
+        PhysKind::Parallel { .. } => tally.0 += 1,
+        PhysKind::Merge { .. } => tally.1 += 1,
+        PhysKind::HashPartition { .. } => tally.2 += 1,
+        _ => {}
+    });
 }
 
 /// Collects every *registry-visible* stats label in a plan: the labels of
@@ -133,7 +124,7 @@ fn all_queries_verify_across_config_matrix() {
                              vector_size={vsize}): {e}"
                         )
                     });
-                    count_exchanges(&sketch(&plan, &cfg), &mut tally);
+                    count_exchanges(&plan_physical(&plan, &cfg), &mut tally);
                     checked += 1;
                 }
             }
@@ -184,11 +175,18 @@ fn all_queries_analyze_cleanly() {
 /// escapes it, and an unbounded plan would make the byte-accounting
 /// oracle (`actual ≤ proven`) vacuously true. The work bound must be
 /// finite and positive for the same reason.
+///
+/// The costed plan must also be the lowered plan: the memory trackers a
+/// fresh `lower()` registers (construction registers them all; threads
+/// only start at the first `next()`) match the tracked cost rows label
+/// for label and instance for instance, and every hash-agg, hash-join
+/// and sort tracker carries exactly its row's per-instance bound.
 #[test]
 fn all_queries_get_finite_byte_bounds() {
     // Saturation sentinel mirrored from `ma_executor::cost` (rendered as
     // "unbounded"); anything at or above it means the pass gave up.
     const SAT: u64 = u64::MAX >> 8;
+    let dict = Arc::new(ma_primitives::build_dictionary());
     let db = db();
     let params = Params::default();
     for q in 1..=22 {
@@ -219,6 +217,52 @@ fn all_queries_get_finite_byte_bounds() {
                         "Q{q} over default budget (workers={workers}): {:?}",
                         report.findings
                     );
+                    let ctx = QueryContext::new(Arc::clone(&dict), cfg.clone());
+                    drop(ma_executor::lower(&plan, &ctx).unwrap());
+                    // label -> (tracker slots, bounds) on each side. An
+                    // exchange is one operator whose row counts its
+                    // producers, so it registers a single slot.
+                    let mut slots: BTreeMap<String, (usize, Vec<u64>)> = BTreeMap::new();
+                    for r in ctx.mem_reports() {
+                        let e = slots.entry(r.label).or_default();
+                        e.0 += 1;
+                        e.1.push(r.bound);
+                    }
+                    let mut rows: BTreeMap<String, (usize, Vec<u64>)> = BTreeMap::new();
+                    for o in &report.ops {
+                        let n = match o.kind {
+                            "hash-agg" | "hash-join" | "sort" => o.instances,
+                            "exchange" => 1,
+                            _ => continue,
+                        };
+                        let e = rows.entry(o.label.clone()).or_default();
+                        e.0 += n;
+                        if o.kind != "exchange" {
+                            e.1.extend(std::iter::repeat_n(o.per_instance_bytes, n));
+                        }
+                    }
+                    let where_ = format!(
+                        "Q{q} (workers={workers}, agg_partitions={agg_p}, \
+                         join_partitions={join_p}, vector_size={vsize})"
+                    );
+                    let counts = |m: &BTreeMap<String, (usize, Vec<u64>)>| {
+                        m.iter().map(|(l, e)| (l.clone(), e.0)).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        counts(&slots),
+                        counts(&rows),
+                        "{where_}: lowered trackers differ from the costed plan"
+                    );
+                    for (label, (_, row_bounds)) in &rows {
+                        if row_bounds.is_empty() {
+                            continue;
+                        }
+                        let mut got = slots[label].1.clone();
+                        let mut want = row_bounds.clone();
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "{where_}: tracker bounds of {label}");
+                    }
                 }
             }
         }
