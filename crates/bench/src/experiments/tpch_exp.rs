@@ -145,17 +145,10 @@ fn aph_for_configs(
 /// A boxed instance-report predicate used by the figure case tables.
 type Pick = Box<dyn Fn(&InstanceReport) -> bool>;
 
-/// Fig. 4: compiler-style APHs for five sample primitive instances.
-pub fn fig04(runner: &Runner) -> String {
-    let mut out = String::from("=== Figure 4: compiler-style differences, sample APHs ===\n");
-    let styles = || -> Vec<(&'static str, ExecConfig)> {
-        vec![
-            ("gcc", ExecConfig::fixed("gcc")),
-            ("icc", ExecConfig::fixed("icc")),
-            ("clang", ExecConfig::fixed("clang")),
-        ]
-    };
-    let cases: Vec<(&str, usize, Pick)> = vec![
+/// Fig. 4's five sample primitive instances: caption, query, and the
+/// pick selecting the instance from the query's reports.
+fn fig04_cases() -> Vec<(&'static str, usize, Pick)> {
+    vec![
         (
             "(a) Q1 Projection(map_add_f64)",
             1,
@@ -177,12 +170,25 @@ pub fn fig04(runner: &Runner) -> String {
             Box::new(|r| r.signature.starts_with("map_fetch_str")),
         ),
         (
-            "(e) Q16 Aggregation(hash_insertcheck_str)",
+            // Q16 groups by (brand, type, size): a composite key.
+            "(e) Q16 Aggregation(hash_insertcheck_multi)",
             16,
-            Box::new(|r| r.signature == "hash_insertcheck_str_col"),
+            Box::new(|r| r.signature == "hash_insertcheck_multi_col"),
         ),
-    ];
-    for (title, q, pick) in cases {
+    ]
+}
+
+/// Fig. 4: compiler-style APHs for five sample primitive instances.
+pub fn fig04(runner: &Runner) -> String {
+    let mut out = String::from("=== Figure 4: compiler-style differences, sample APHs ===\n");
+    let styles = || -> Vec<(&'static str, ExecConfig)> {
+        vec![
+            ("gcc", ExecConfig::fixed("gcc")),
+            ("icc", ExecConfig::fixed("icc")),
+            ("clang", ExecConfig::fixed("clang")),
+        ]
+    };
+    for (title, q, pick) in fig04_cases() {
         let series = aph_for_configs(runner, q, &styles(), pick);
         out.push_str(&render_aph_series(title, &series, 24));
     }
@@ -448,6 +454,19 @@ mod tests {
         let txt = table1(runner());
         assert!(txt.contains("preprocess"));
         assert!(txt.contains("qualifying tuples"));
+    }
+
+    #[test]
+    fn every_fig04_case_picks_an_instance() {
+        let runner = Runner::new(Arc::new(TpchData::generate(0.01, 0xBE)));
+        for (title, q, pick) in fig04_cases() {
+            let r = runner.run(q, ExecConfig::fixed("gcc")).expect("query run");
+            assert!(
+                r.instances.iter().any(&pick),
+                "{title}: no Q{q} instance matched; got {:?}",
+                r.instances.iter().map(|i| &i.signature).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   through the plan (string widths never grow: `substr` shrinks,
 //!   aggregates emit 8-byte scalars);
 //! * hash-aggregate tables are bounded from the analyzer's group bound
-//!   (slot arrays at 50% load, key storage, accumulators, one emitted
-//!   output copy);
+//!   (slot arrays at 50% load, the table's stored keys — column-wise,
+//!   8 bytes per integer key and bytes plus a view per string key, for
+//!   composite keys — key builders, accumulators, one emitted output
+//!   copy);
 //! * join builds from the build side's row bound (key columns, payload
 //!   row store, hashes/heads/chain, Bloom filter);
 //! * sorts from the input row bound (row store + index + one emitted
@@ -418,43 +420,34 @@ fn pow2_cap(n: usize) -> u64 {
 
 /// Peak resident bytes proven for **one** [`crate::ops::HashAggregate`]
 /// instance over `input`: group-table slots (16 bytes each at ≤50%
-/// load), serialized key storage for the string-table path, one key
-/// builder per group column, accumulators (16 bytes for `SumI64`'s
-/// 128-bit sums, 8 otherwise), plus one emitted output copy. All terms
-/// scale with the analyzer's group bound `g`, which every partition may
-/// in the worst case receive entirely.
+/// load), the table's stored keys, one key builder per group column,
+/// accumulators (16 bytes for `SumI64`'s 128-bit sums, 8 otherwise),
+/// plus one emitted output copy. The stored keys follow the table the
+/// operator picks: none for one integer key (the slot holds it), the
+/// bytes plus an 8-byte view for one string key, and for two or more
+/// keys the composite table's column-wise layout — 8 bytes per integer
+/// key (normalized to `i64`) and, per string key, its bytes plus an
+/// 8-byte view. All terms scale with the analyzer's group bound `g`,
+/// which every partition may in the worst case receive entirely.
 fn agg_instance_bound(g: usize, input: &LogicalPlan, keys: &[usize], aggs: &[AggSpec]) -> u64 {
     let g64 = g.min(usize::MAX >> 8) as u64;
     let w_in = col_widths(input);
-    let key_types: Vec<DataType> = keys
-        .iter()
-        .map(|&k| input.schema().fields()[k].ty)
-        .collect();
-    let single_int = keys.len() == 1 && key_types[0] != DataType::Str;
-    let table = if single_int {
-        pow2_cap(g).saturating_mul(16)
+    let single_int = keys.len() == 1 && input.schema().fields()[keys[0]].ty != DataType::Str;
+    // Stored key bytes per group; a `Str` width already counts the
+    // widest value plus its 8-byte view.
+    let stored: u64 = if single_int {
+        0
     } else {
-        // Serialized key width: hex encodings (`serialize_key`) for the
-        // multi-column path, the raw string for the single-Str path.
-        let ser: u64 = if keys.len() == 1 {
-            // raw bytes; the +8 view is added below
-            w_in[keys[0]].saturating_sub(8)
-        } else {
-            keys.iter().zip(&key_types).fold(0u64, |a, (&k, ty)| {
-                a.saturating_add(match ty {
-                    DataType::I16 => 5,
-                    DataType::I32 => 9,
-                    DataType::I64 => 17,
-                    // 4-digit length prefix + bytes + separator
-                    DataType::Str => w_in[k].saturating_sub(8).saturating_add(5),
-                    DataType::F64 => 0, // rejected at runtime
-                })
+        keys.iter().fold(0u64, |a, &k| {
+            a.saturating_add(match input.schema().fields()[k].ty {
+                DataType::Str => w_in[k],
+                _ => 8,
             })
-        };
-        pow2_cap(g)
-            .saturating_mul(16)
-            .saturating_add(g64.saturating_mul(ser.saturating_add(8)))
+        })
     };
+    let table = pow2_cap(g)
+        .saturating_mul(16)
+        .saturating_add(g64.saturating_mul(stored));
     let builders = keys
         .iter()
         .fold(0u64, |a, &k| a.saturating_add(g64.saturating_mul(w_in[k])));

@@ -4,15 +4,19 @@
 //! sketches: per input vector it computes a hash vector (`map_hash_*` /
 //! `map_rehash_*` instances), finds-or-inserts group ids
 //! (`hash_insertcheck_*`, the primitive of Fig. 4e), then updates
-//! accumulators with grouped `aggr_*` primitives. [`StreamAggregate`]
-//! handles the ungrouped case with `aggr0_*` primitives.
+//! accumulators with grouped `aggr_*` primitives. One integer key uses
+//! `hash_insertcheck_u64_col`, one string key `hash_insertcheck_str_col`,
+//! and two or more keys `hash_insertcheck_multi_col`, whose table stores
+//! and compares the key columns one by one. [`StreamAggregate`] handles
+//! the ungrouped case with `aggr0_*` primitives.
 
 use std::sync::Arc;
 
 use ma_primitives::{
     AggrCountGrouped, AggrMinMaxF64, AggrMinMaxF64Grouped, AggrMinMaxI64, AggrMinMaxI64Grouped,
     AggrSumF64, AggrSumF64Grouped, AggrSumI64, AggrSumI64Grouped, GroupInsertCheck, GroupTable,
-    MapHash, MapHashStr, MapRehash, MapRehashStr, StrGroupInsertCheck, StrGroupTable,
+    MapHash, MapHashStr, MapRehash, MapRehashStr, MultiGroupInsertCheck, MultiGroupTable,
+    StrGroupInsertCheck, StrGroupTable,
 };
 use ma_vector::{ColumnBuilder, DataChunk, DataType, SelVec, StrVec, Vector};
 
@@ -222,10 +226,11 @@ impl AccBuf {
 // --- key handling -----------------------------------------------------------
 
 enum HashStep {
-    /// First key column, integer: hash the normalized i64 scratch.
-    HashI64(PrimInstance<MapHash<i64>>, usize),
+    /// First key column, integer: hash its normalized `i64` scratch
+    /// (`keyscratch[slot]`).
+    HashI64(PrimInstance<MapHash<i64>>, usize, usize),
     /// Subsequent integer key column: combine.
-    RehashI64(PrimInstance<MapRehash<i64>>, usize),
+    RehashI64(PrimInstance<MapRehash<i64>>, usize, usize),
     /// First key column, string.
     HashStr(PrimInstance<MapHashStr>, usize),
     /// Subsequent string key column.
@@ -237,16 +242,41 @@ enum KeyTable {
     Int {
         table: GroupTable,
         insert: PrimInstance<GroupInsertCheck>,
+        /// Reusable `u64` view of the hash step's normalized keys.
+        keys_u64: Vec<u64>,
     },
-    /// One string key column, or several columns serialized into a scratch
-    /// string key: `StrGroupTable` (the Fig. 4(e) path).
+    /// One string key column: `StrGroupTable` (the paper's Fig. 4(e)
+    /// primitive).
     Str {
         table: StrGroupTable,
         insert: PrimInstance<StrGroupInsertCheck>,
-        /// `None`: use the single string key column directly.
-        /// `Some(_)`: serialize these columns per tuple.
-        serialize: Option<Vec<usize>>,
     },
+    /// Two or more key columns: `MultiGroupTable`, comparing the integer
+    /// keys (the hash steps' normalized scratch, in `keyscratch` order)
+    /// and the string keys (`str_cols`) column by column.
+    Multi {
+        table: MultiGroupTable,
+        insert: PrimInstance<MultiGroupInsertCheck>,
+        str_cols: Vec<usize>,
+    },
+}
+
+impl KeyTable {
+    fn groups(&self) -> u32 {
+        match self {
+            KeyTable::Int { table, .. } => table.groups(),
+            KeyTable::Str { table, .. } => table.groups(),
+            KeyTable::Multi { table, .. } => table.groups(),
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        match self {
+            KeyTable::Int { table, .. } => table.bytes(),
+            KeyTable::Str { table, .. } => table.bytes(),
+            KeyTable::Multi { table, .. } => table.bytes(),
+        }
+    }
 }
 
 /// How many new groups to reserve room for before an insertcheck pass:
@@ -263,28 +293,6 @@ fn clamped_reserve(live: usize, groups: usize, hint: Option<usize>) -> usize {
     match hint {
         Some(h) => live.min(h.saturating_sub(groups)),
         None => live,
-    }
-}
-
-/// Serializes one tuple's group-key columns into a scratch string.
-/// Integers are fixed-width hex (order-irrelevant, collision-free);
-/// strings are length-prefixed to keep the encoding injective.
-fn serialize_key(chunk: &DataChunk, cols: &[usize], pos: usize, out: &mut String) {
-    use std::fmt::Write;
-    out.clear();
-    for &c in cols {
-        match chunk.column(c).as_ref() {
-            Vector::I16(v) => write!(out, "{:04x};", v[pos] as u16).unwrap(),
-            Vector::I32(v) => write!(out, "{:08x};", v[pos] as u32).unwrap(),
-            Vector::I64(v) => write!(out, "{:016x};", v[pos] as u64).unwrap(),
-            Vector::Str(v) => {
-                let s = v.get(pos);
-                write!(out, "{:04x}", s.len() as u16).unwrap();
-                out.push_str(s);
-                out.push(';');
-            }
-            Vector::F64(_) => panic!("f64 group keys unsupported"),
-        }
     }
 }
 
@@ -309,7 +317,8 @@ pub struct HashAggregate {
     // scratch
     hashes: Vec<u64>,
     gids: Vec<u32>,
-    keyscratch: Vec<i64>,
+    /// One normalized `i64` vector per integer key column, in key order.
+    keyscratch: Vec<Vec<i64>>,
 }
 
 impl HashAggregate {
@@ -330,13 +339,22 @@ impl HashAggregate {
         }
         let in_types = child.out_types().to_vec();
         for &c in &group_cols {
-            if c >= in_types.len() {
-                return Err(ExecError::Plan(format!("group column {c} out of range")));
+            match in_types.get(c) {
+                None => return Err(ExecError::Plan(format!("group column {c} out of range"))),
+                Some(DataType::F64) => {
+                    return Err(ExecError::Plan(format!(
+                        "group column {c} is f64; group keys must be integers or strings"
+                    )))
+                }
+                Some(_) => {}
             }
         }
 
-        // Hash pipeline over the key columns.
+        // Hash pipeline over the key columns; integer keys each get a
+        // normalized scratch slot, shared with the insertcheck below.
         let mut hash_steps = Vec::with_capacity(group_cols.len());
+        let mut int_slots = 0;
+        let mut str_cols = Vec::new();
         for (k, &c) in group_cols.iter().enumerate() {
             let is_str = in_types[c] == DataType::Str;
             let step = match (k == 0, is_str) {
@@ -347,6 +365,7 @@ impl HashAggregate {
                         HeurKind::None,
                     )?,
                     c,
+                    int_slots,
                 ),
                 (false, false) => HashStep::RehashI64(
                     ctx.instance(
@@ -355,6 +374,7 @@ impl HashAggregate {
                         HeurKind::None,
                     )?,
                     c,
+                    int_slots,
                 ),
                 (true, true) => HashStep::HashStr(
                     ctx.instance(
@@ -373,11 +393,26 @@ impl HashAggregate {
                     c,
                 ),
             };
+            if is_str {
+                str_cols.push(c);
+            } else {
+                int_slots += 1;
+            }
             hash_steps.push(step);
         }
 
         // Group table choice.
-        let key_table = if group_cols.len() == 1 && in_types[group_cols[0]] != DataType::Str {
+        let key_table = if group_cols.len() > 1 {
+            KeyTable::Multi {
+                table: MultiGroupTable::new(int_slots, str_cols.len()),
+                insert: ctx.instance(
+                    "hash_insertcheck_multi_col",
+                    format!("{label}/insertcheck_multi"),
+                    HeurKind::None,
+                )?,
+                str_cols,
+            }
+        } else if int_slots == 1 {
             KeyTable::Int {
                 table: GroupTable::new(),
                 insert: ctx.instance(
@@ -385,13 +420,9 @@ impl HashAggregate {
                     format!("{label}/insertcheck_u64"),
                     HeurKind::None,
                 )?,
+                keys_u64: Vec::new(),
             }
         } else {
-            let serialize = if group_cols.len() == 1 {
-                None
-            } else {
-                Some(group_cols.clone())
-            };
             KeyTable::Str {
                 table: StrGroupTable::new(),
                 insert: ctx.instance(
@@ -399,7 +430,6 @@ impl HashAggregate {
                     format!("{label}/insertcheck_str"),
                     HeurKind::None,
                 )?,
-                serialize,
             }
         };
 
@@ -430,7 +460,7 @@ impl HashAggregate {
             tracker: None,
             hashes: Vec::new(),
             gids: Vec::new(),
-            keyscratch: Vec::new(),
+            keyscratch: vec![Vec::new(); int_slots],
         })
     }
 
@@ -459,10 +489,6 @@ impl HashAggregate {
 
     /// Live resident bytes of the aggregation state (length-based).
     fn resident_bytes(&self) -> u64 {
-        let table = match &self.key_table {
-            KeyTable::Int { table, .. } => table.bytes(),
-            KeyTable::Str { table, .. } => table.bytes(),
-        };
         let builders = self
             .key_builders
             .iter()
@@ -471,13 +497,15 @@ impl HashAggregate {
             .accs
             .iter()
             .fold(0u64, |a, b| a.saturating_add(b.bytes()));
-        table.saturating_add(builders).saturating_add(accs)
+        self.key_table
+            .bytes()
+            .saturating_add(builders)
+            .saturating_add(accs)
     }
 
     fn consume_chunk(&mut self, chunk: &DataChunk) -> Result<(), ExecError> {
         let n = chunk.len();
-        let sel_owned = chunk.sel().cloned();
-        let sel = sel_owned.as_ref().map(SelVec::as_slice);
+        let sel = chunk.sel().map(SelVec::as_slice);
         let live = chunk.live_count() as u64;
         if live == 0 {
             return Ok(());
@@ -490,14 +518,14 @@ impl HashAggregate {
         // 1. hash pipeline
         for step in &mut self.hash_steps {
             match step {
-                HashStep::HashI64(inst, c) => {
-                    normalize_keys_i64(chunk.column(*c), &mut self.keyscratch);
-                    let keys = &self.keyscratch;
+                HashStep::HashI64(inst, c, slot) => {
+                    let keys = &mut self.keyscratch[*slot];
+                    normalize_keys_i64(chunk.column(*c), keys);
                     inst.invoke(live, |f| f(hashes, keys, sel));
                 }
-                HashStep::RehashI64(inst, c) => {
-                    normalize_keys_i64(chunk.column(*c), &mut self.keyscratch);
-                    let keys = &self.keyscratch;
+                HashStep::RehashI64(inst, c, slot) => {
+                    let keys = &mut self.keyscratch[*slot];
+                    normalize_keys_i64(chunk.column(*c), keys);
                     inst.invoke(live, |f| f(hashes, keys, sel));
                 }
                 HashStep::HashStr(inst, c) => {
@@ -512,63 +540,38 @@ impl HashAggregate {
         }
 
         // 2. insertcheck (group-id assignment)
-        let prev_groups;
-        let groups_now;
-        match &mut self.key_table {
-            KeyTable::Int { table, insert } => {
-                prev_groups = table.groups();
-                normalize_keys_i64(chunk.column(self.group_cols[0]), &mut self.keyscratch);
-                let keys_u64: Vec<u64> = self.keyscratch.iter().map(|&k| k as u64).collect();
-                table.reserve(clamped_reserve(
-                    live as usize,
-                    table.groups() as usize,
-                    self.group_hint,
-                ));
-                groups_now = insert.invoke(live, |f| f(table, hashes, &keys_u64, gids, sel));
-            }
-            KeyTable::Str {
+        let prev_groups = self.key_table.groups();
+        let room = clamped_reserve(live as usize, prev_groups as usize, self.group_hint);
+        let groups_now = match &mut self.key_table {
+            KeyTable::Int {
                 table,
                 insert,
-                serialize,
+                keys_u64,
             } => {
-                prev_groups = table.groups();
-                table.reserve(clamped_reserve(
-                    live as usize,
-                    table.groups() as usize,
-                    self.group_hint,
-                ));
-                match serialize {
-                    None => {
-                        let keys = chunk.column(self.group_cols[0]).as_str_vec();
-                        groups_now = insert.invoke(live, |f| f(table, hashes, keys, gids, sel));
-                    }
-                    Some(cols) => {
-                        // Serialize live tuples' keys into a scratch StrVec.
-                        // The hash pipeline above already hashed the raw
-                        // columns; the serialized key is only the equality
-                        // witness, so re-hash it for table consistency.
-                        let mut strings = vec![String::new(); n];
-                        let mut buf = String::new();
-                        match sel {
-                            Some(s) => {
-                                for &i in s {
-                                    serialize_key(chunk, cols, i as usize, &mut buf);
-                                    strings[i as usize] = buf.clone();
-                                }
-                            }
-                            None => {
-                                for (i, slot) in strings.iter_mut().enumerate() {
-                                    serialize_key(chunk, cols, i, &mut buf);
-                                    *slot = buf.clone();
-                                }
-                            }
-                        }
-                        let keys = StrVec::from_strings(&strings);
-                        groups_now = insert.invoke(live, |f| f(table, hashes, &keys, gids, sel));
-                    }
-                }
+                keys_u64.clear();
+                keys_u64.extend(self.keyscratch[0].iter().map(|&k| k as u64));
+                table.reserve(room);
+                insert.invoke(live, |f| f(table, hashes, keys_u64, gids, sel))
             }
-        }
+            KeyTable::Str { table, insert } => {
+                let keys = chunk.column(self.group_cols[0]).as_str_vec();
+                table.reserve(room);
+                insert.invoke(live, |f| f(table, hashes, keys, gids, sel))
+            }
+            KeyTable::Multi {
+                table,
+                insert,
+                str_cols,
+            } => {
+                let ints: Vec<&[i64]> = self.keyscratch.iter().map(Vec::as_slice).collect();
+                let strs: Vec<&StrVec> = str_cols
+                    .iter()
+                    .map(|&c| chunk.column(c).as_str_vec())
+                    .collect();
+                table.reserve(room);
+                insert.invoke(live, |f| f(table, hashes, &ints, &strs, gids, sel))
+            }
+        };
 
         // The clamped reservation above leans on the proven bound; verify
         // it held rather than trusting the analyzer blindly. (The ≤50%
@@ -586,8 +589,7 @@ impl HashAggregate {
         // (insertcheck assigns fresh gids densely, in position order).
         if groups_now > prev_groups {
             let mut next = prev_groups;
-            let positions = chunk.live_positions();
-            for p in positions {
+            let mut record = |p: usize| {
                 if gids[p] == next {
                     for (b, &c) in self.key_builders.iter_mut().zip(&self.group_cols) {
                         match chunk.column(c).as_ref() {
@@ -599,8 +601,22 @@ impl HashAggregate {
                         }
                     }
                     next += 1;
-                    if next == groups_now {
-                        break;
+                }
+                next == groups_now
+            };
+            match sel {
+                Some(s) => {
+                    for &p in s {
+                        if record(p as usize) {
+                            break;
+                        }
+                    }
+                }
+                None => {
+                    for p in 0..n {
+                        if record(p) {
+                            break;
+                        }
                     }
                 }
             }
@@ -620,10 +636,7 @@ impl HashAggregate {
     }
 
     fn finalize(&mut self) -> Vec<DataChunk> {
-        let groups = match &self.key_table {
-            KeyTable::Int { table, .. } => table.groups() as usize,
-            KeyTable::Str { table, .. } => table.groups() as usize,
-        };
+        let groups = self.key_table.groups() as usize;
         // Ensure accumulators cover groups even if zero chunks arrived.
         for acc in &mut self.accs {
             acc.grow(groups);
@@ -647,11 +660,7 @@ impl HashAggregate {
             // Emission phase: the table is still resident alongside the
             // materialized output copy (covered by the bound's output
             // term).
-            let table = match &self.key_table {
-                KeyTable::Int { table, .. } => table.bytes(),
-                KeyTable::Str { table, .. } => table.bytes(),
-            };
-            t.record(table.saturating_add(store.bytes()));
+            t.record(self.key_table.bytes().saturating_add(store.bytes()));
         }
         store.freeze().to_chunks(self.vector_size)
     }
@@ -665,7 +674,7 @@ impl Operator for HashAggregate {
             }
             self.done = Some(self.finalize().into_iter());
         }
-        Ok(self.done.as_mut().unwrap().next())
+        Ok(self.done.as_mut().and_then(Iterator::next))
     }
 
     fn out_types(&self) -> &[DataType] {
@@ -805,8 +814,7 @@ impl Operator for StreamAggregate {
             return Ok(None);
         }
         while let Some(chunk) = self.child.next()? {
-            let sel_owned = chunk.sel().cloned();
-            let sel = sel_owned.as_ref().map(SelVec::as_slice);
+            let sel = chunk.sel().map(SelVec::as_slice);
             let live = chunk.live_count() as u64;
             for acc in &mut self.accs {
                 match acc {
@@ -963,6 +971,101 @@ mod tests {
                 assert_eq!((max - min) % 21, 0);
             }
         }
+    }
+
+    #[test]
+    fn composite_keys_of_every_type_group_exactly() {
+        // I16/I32/I64/Str keys (with "" and sign-extension edge values)
+        // against a reference map, through a selection vector.
+        let n = 1500;
+        let mut a = ColumnBuilder::with_capacity(DataType::I16, n);
+        let mut b = ColumnBuilder::with_capacity(DataType::I32, n);
+        let mut c = ColumnBuilder::with_capacity(DataType::I64, n);
+        let mut s = ColumnBuilder::with_capacity(DataType::Str, n);
+        let mut reference = std::collections::BTreeMap::new();
+        for i in 0..n {
+            let key = (
+                [-1i16, i16::MIN, 7][i % 3],
+                [65_535i32, -1][i % 2],
+                [i64::MIN, 0, -1, 1 << 40][(i / 5) % 4],
+                ["", "-1", "MED BOX"][(i / 7) % 3],
+            );
+            a.push_i16(key.0);
+            b.push_i32(key.1);
+            c.push_i64(key.2);
+            s.push_str(key.3);
+            if i % 4 != 3 {
+                let key = (key.0, key.1, key.2, key.3.to_string());
+                *reference.entry(key).or_insert(0i64) += 1;
+            }
+        }
+        let t = Arc::new(
+            Table::new(
+                "t",
+                vec![
+                    ("a".into(), a.finish()),
+                    ("b".into(), b.finish()),
+                    ("c".into(), c.finish()),
+                    ("s".into(), s.finish()),
+                    ("v".into(), scan_col(n)),
+                ],
+            )
+            .unwrap(),
+        );
+        let ctx = ctx();
+        let scan = Box::new(Scan::new(t, &["a", "b", "c", "s", "v"], 128).unwrap());
+        let pred = Pred::cmp_val(4, CmpKind::Ne, Value::I64(3));
+        let sel = Select::new(scan, &pred, &ctx, "s").unwrap();
+        let mut agg = HashAggregate::new(
+            Box::new(sel),
+            vec![3, 0, 2, 1],
+            vec![AggSpec::CountStar],
+            &ctx,
+            "t",
+        )
+        .unwrap();
+        let mut got = std::collections::BTreeMap::new();
+        for ch in collect(&mut agg).unwrap() {
+            for p in ch.live_positions() {
+                let key = (
+                    ch.column(1).as_i16()[p],
+                    ch.column(3).as_i32()[p],
+                    ch.column(2).as_i64()[p],
+                    ch.column(0).as_str_vec().get(p).to_string(),
+                );
+                assert!(got.insert(key, ch.column(4).as_i64()[p]).is_none());
+            }
+        }
+        assert_eq!(got, reference);
+    }
+
+    /// `v = i mod 4` as an `i64` column.
+    fn scan_col(n: usize) -> ma_vector::Column {
+        let mut v = ColumnBuilder::with_capacity(DataType::I64, n);
+        for i in 0..n {
+            v.push_i64((i % 4) as i64);
+        }
+        v.finish()
+    }
+
+    #[test]
+    fn f64_group_keys_rejected() {
+        use crate::expr::Expr;
+        use crate::ops::{ProjItem, Project};
+        let c = ctx();
+        let p = Project::new(
+            scan(10),
+            vec![
+                ProjItem::Pass(0),
+                ProjItem::Expr(Expr::cast(DataType::F64, Expr::col(1))),
+            ],
+            &c,
+            "p",
+        )
+        .unwrap();
+        assert!(
+            HashAggregate::new(Box::new(p), vec![0, 1], vec![AggSpec::CountStar], &c, "t").is_err()
+        );
     }
 
     #[test]

@@ -433,6 +433,15 @@ pub fn build_dictionary() -> PrimitiveDictionary {
             hash_insertcheck_str_clang,
         ],
     ));
+    d.register(FlavorSet::from_parts(
+        "hash_insertcheck_multi_col",
+        vec![fi("gcc", C), fi("icc", C), fi("clang", C)],
+        vec![
+            hash_insertcheck_multi_gcc as MultiGroupInsertCheck,
+            hash_insertcheck_multi_icc,
+            hash_insertcheck_multi_clang,
+        ],
+    ));
 
     // --- grouped aggregation ----------------------------------------------------
     d.register(FlavorSet::from_parts(
@@ -550,6 +559,7 @@ mod tests {
             "sel_bloomfilter",
             "mergejoin_i64_col_i64_col",
             "hash_insertcheck_str_col",
+            "hash_insertcheck_multi_col",
             "aggr_sum128_i64_col",
             "aggr0_sum_f64_col",
         ] {

@@ -1253,10 +1253,17 @@ impl Gen<'_> {
         let key_pool: Vec<usize> = (0..cols.len())
             .filter(|&i| cols[i].ty != DataType::F64)
             .collect();
+        // 0–4 keys, covering the composite-key group table with mixed
+        // int/str 3- and 4-key group-bys (Q16-shaped). Only a 2-key draw
+        // spends an extra draw, so 0- and 1-key streams are unchanged.
         let n_keys = if key_pool.is_empty() {
             0
         } else {
-            self.rng.gen_range(3).min(key_pool.len())
+            let mut n = self.rng.gen_range(3);
+            if n == 2 {
+                n += self.rng.gen_range(3);
+            }
+            n.min(key_pool.len())
         };
         let keys_idx = if n_keys == 0 {
             Vec::new()

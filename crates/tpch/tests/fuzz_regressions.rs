@@ -168,6 +168,28 @@ fn exactly_reached_group_bound_keeps_the_clamped_reservation() {
     }
 }
 
+/// Multi-column group-bys run on a composite-key group table that
+/// compares keys column by column (they used to be serialized into one
+/// string per tuple). Pinned: a Q16-shaped 3-key mixed str/int/str
+/// group-by, and a 4-key one mixing two string, an `i32` and an `i64`
+/// key, each under every configuration of the differential oracle
+/// (results, bounds soundness and byte accounting).
+#[test]
+fn mixed_type_composite_group_keys() {
+    let fz = fuzzer(0.002);
+    for text in [
+        "from part [p_brand, p_type, p_size, p_retailprice] \
+         | agg by [p_brand, p_size, p_type] [count as a1, max(p_retailprice) as a2]",
+        "from lineitem [l_returnflag, l_linestatus, l_quantity, l_orderkey, l_extendedprice] \
+         | select l_returnflag = l_returnflag, l_linestatus = l_linestatus, \
+                  l_quantity = l_quantity, k = i64(l_orderkey) / 1000, p = l_extendedprice \
+         | agg by [l_returnflag, l_quantity, k, l_linestatus] [sum(p) as a1, count as a2]",
+    ] {
+        fz.check_text(text)
+            .unwrap_or_else(|f| panic!("{text}\n  {f}"));
+    }
+}
+
 /// A small deterministic differential sweep on every `cargo test` run.
 /// The heavy sweeps (500 release-mode cases in CI, 10k+ in triage) use
 /// the same code at bigger scale.

@@ -123,13 +123,20 @@ impl StrVec {
     /// The string at position `i`.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        let (off, len) = self.views[i];
-        let bytes = &self.arena[off as usize..(off + len) as usize];
+        let bytes = self.get_bytes(i);
         // SAFETY-free: constructors validate UTF-8 (always for from_strings,
         // debug-checked for from_views); use the checked form anyway since
         // string access is never on the per-tuple hot path measured by the
         // paper's experiments.
         std::str::from_utf8(bytes).expect("StrVec arena corruption")
+    }
+
+    /// The bytes of the string at position `i`, without the UTF-8 check
+    /// of [`StrVec::get`] — for byte-equality probes in group tables.
+    #[inline]
+    pub fn get_bytes(&self, i: usize) -> &[u8] {
+        let (off, len) = self.views[i];
+        &self.arena[off as usize..(off + len) as usize]
     }
 
     /// The raw `(offset, len)` views.

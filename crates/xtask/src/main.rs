@@ -57,9 +57,8 @@ use std::process::ExitCode;
 const UNWRAP_ALLOWLIST: &[(&str, usize, &str)] = &[
     (
         "aggregate.rs",
-        7,
-        "checked i128->i64 sum narrowing (overflow must panic, not wrap) and \
-         infallible write!() into an in-memory group-key String",
+        2,
+        "checked i128->i64 sum narrowing (overflow must panic, not wrap)",
     ),
     (
         "exchange.rs",
@@ -145,12 +144,6 @@ const NARROW_CAST_ALLOWLIST: &[(&str, usize, &str)] = &[
         "crates/primitives/src/merge.rs",
         4,
         "u32 row-id emission over per-vector key slices (< vector_size rows)",
-    ),
-    (
-        "crates/executor/src/ops/aggregate.rs",
-        3,
-        "bit-exact hex encoding of group keys: i16/i32 reinterpreted at the \
-         same width, plus a u16 length tag over vector-bounded strings",
     ),
     (
         "crates/executor/src/ops/exchange.rs",
