@@ -17,8 +17,8 @@ pub struct PrimitiveProfile {
     pub tot_tuples: u64,
     /// Total ticks spent.
     pub tot_ticks: u64,
-    /// Optional bounded performance history.
-    pub aph: Option<Aph>,
+    /// Bounded performance history.
+    pub aph: Aph,
 }
 
 impl Default for PrimitiveProfile {
@@ -28,23 +28,13 @@ impl Default for PrimitiveProfile {
 }
 
 impl PrimitiveProfile {
-    /// Profile keeping only cumulative totals (classic Vectorwise profiling).
-    pub fn totals_only() -> Self {
-        PrimitiveProfile {
-            calls: 0,
-            tot_tuples: 0,
-            tot_ticks: 0,
-            aph: None,
-        }
-    }
-
-    /// Profile that additionally maintains an APH.
+    /// An empty profile: cumulative totals plus an APH.
     pub fn with_aph() -> Self {
         PrimitiveProfile {
             calls: 0,
             tot_tuples: 0,
             tot_ticks: 0,
-            aph: Some(Aph::default()),
+            aph: Aph::default(),
         }
     }
 
@@ -54,9 +44,7 @@ impl PrimitiveProfile {
         self.calls += 1;
         self.tot_tuples += tuples;
         self.tot_ticks += ticks;
-        if let Some(aph) = &mut self.aph {
-            aph.record(tuples, ticks);
-        }
+        self.aph.record(tuples, ticks);
     }
 
     /// Lifetime average cost in ticks/tuple.
@@ -82,14 +70,13 @@ mod tests {
 
     #[test]
     fn records_totals() {
-        let mut p = PrimitiveProfile::totals_only();
+        let mut p = PrimitiveProfile::with_aph();
         p.record(1000, 4000);
         p.record(1000, 6000);
         assert_eq!(p.calls, 2);
         assert_eq!(p.tot_tuples, 2000);
         assert_eq!(p.tot_ticks, 10_000);
         assert_eq!(p.avg_cost(), 5.0);
-        assert!(p.aph.is_none());
     }
 
     #[test]
@@ -98,7 +85,7 @@ mod tests {
         for _ in 0..10 {
             p.record(100, 300);
         }
-        let aph = p.aph.as_ref().unwrap();
+        let aph = &p.aph;
         assert_eq!(aph.total_calls(), 10);
         assert_eq!(aph.total_ticks(), 3000);
     }
@@ -110,9 +97,9 @@ mod tests {
 
     #[test]
     fn merge_totals_adds_up() {
-        let mut a = PrimitiveProfile::totals_only();
+        let mut a = PrimitiveProfile::with_aph();
         a.record(10, 100);
-        let mut b = PrimitiveProfile::totals_only();
+        let mut b = PrimitiveProfile::with_aph();
         b.record(30, 50);
         a.merge_totals(&b);
         assert_eq!(a.calls, 2);

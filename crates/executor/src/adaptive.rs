@@ -23,7 +23,7 @@ use ma_core::cycles::ticks_now;
 use ma_core::policy::{ClampedPolicy, FixedPolicy, Policy};
 use ma_core::{Aph, FlavorSet, PrimitiveDictionary, PrimitiveProfile};
 
-use crate::config::{ExecConfig, FlavorMode};
+use crate::config::{ExecConfig, FlavorMode, DEFAULT_REWARD_CLAMP};
 use crate::heuristics::{tuned, HeuristicPolicy, HeuristicRule};
 use crate::ExecError;
 
@@ -321,10 +321,7 @@ impl QueryContext {
                     Box::new(FixedPolicy::new(1, 0))
                 } else {
                     let inner = policy.build(arms, self.fresh_seed());
-                    match config.reward_clamp {
-                        Some(k) => Box::new(ClampedPolicy::new(inner, k)),
-                        None => inner,
-                    }
+                    Box::new(ClampedPolicy::new(inner, DEFAULT_REWARD_CLAMP))
                 };
                 (Arc::new(sub), pol)
             }
@@ -347,16 +344,11 @@ impl QueryContext {
             }
         };
 
-        let profile = if config.collect_aph {
-            PrimitiveProfile::with_aph()
-        } else {
-            PrimitiveProfile::totals_only()
-        };
         let local = InstanceStats {
             label: label.into(),
             signature: signature.to_string(),
             flavor_names: set.infos().iter().map(|i| i.name.to_string()).collect(),
-            profile,
+            profile: PrimitiveProfile::with_aph(),
             flavor_calls: vec![0; set.len()],
         };
         let shared = Arc::new(Mutex::new(local.clone()));
@@ -392,7 +384,7 @@ impl QueryContext {
                     calls: s.profile.calls,
                     tuples: s.profile.tot_tuples,
                     ticks: s.profile.tot_ticks,
-                    aph: s.profile.aph.clone(),
+                    aph: Some(s.profile.aph.clone()),
                     flavor_calls: s
                         .flavor_names
                         .iter()

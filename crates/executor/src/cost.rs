@@ -21,9 +21,9 @@
 //!   aggregates emit 8-byte scalars);
 //! * hash-aggregate tables are bounded from the analyzer's group bound
 //!   (slot arrays at 50% load, the table's stored keys — column-wise,
-//!   8 bytes per integer key and bytes plus a view per string key, for
-//!   composite keys — key builders, accumulators, one emitted output
-//!   copy);
+//!   8 bytes per integer key and bytes plus a view per string key, unless
+//!   the one integer key sits in the slot — accumulators, one emitted
+//!   output copy);
 //! * join builds from the build side's row bound (key columns, payload
 //!   row store, hashes/heads/chain, Bloom filter);
 //! * sorts from the input row bound (row store + index + one emitted
@@ -420,15 +420,15 @@ fn pow2_cap(n: usize) -> u64 {
 
 /// Peak resident bytes proven for **one** [`crate::ops::HashAggregate`]
 /// instance over `input`: group-table slots (16 bytes each at ≤50%
-/// load), the table's stored keys, one key builder per group column,
-/// accumulators (16 bytes for `SumI64`'s 128-bit sums, 8 otherwise),
-/// plus one emitted output copy. The stored keys follow the table the
-/// operator picks: none for one integer key (the slot holds it), the
-/// bytes plus an 8-byte view for one string key, and for two or more
-/// keys the composite table's column-wise layout — 8 bytes per integer
-/// key (normalized to `i64`) and, per string key, its bytes plus an
-/// 8-byte view. All terms scale with the analyzer's group bound `g`,
-/// which every partition may in the worst case receive entirely.
+/// load), the table's stored keys, accumulators (16 bytes for `SumI64`'s
+/// 128-bit sums, 8 otherwise), plus one emitted output copy. The table is
+/// the only holder of the keys until emission, when they move into the
+/// output columns. The stored keys follow the table the operator picks:
+/// none for one integer key (the slot holds it), otherwise the composite
+/// table's column-wise layout — 8 bytes per integer key (normalized to
+/// `i64`) and, per string key, its bytes plus an 8-byte view. All terms
+/// scale with the analyzer's group bound `g`, which every partition may
+/// in the worst case receive entirely.
 fn agg_instance_bound(g: usize, input: &LogicalPlan, keys: &[usize], aggs: &[AggSpec]) -> u64 {
     let g64 = g.min(usize::MAX >> 8) as u64;
     let w_in = col_widths(input);
@@ -448,9 +448,6 @@ fn agg_instance_bound(g: usize, input: &LogicalPlan, keys: &[usize], aggs: &[Agg
     let table = pow2_cap(g)
         .saturating_mul(16)
         .saturating_add(g64.saturating_mul(stored));
-    let builders = keys
-        .iter()
-        .fold(0u64, |a, &k| a.saturating_add(g64.saturating_mul(w_in[k])));
     let accs = aggs.iter().fold(0u64, |a, s| {
         let w = if matches!(s, AggSpec::SumI64(_)) {
             16
@@ -464,7 +461,6 @@ fn agg_instance_bound(g: usize, input: &LogicalPlan, keys: &[usize], aggs: &[Agg
         .fold(0u64, |a, &k| a.saturating_add(w_in[k]))
         .saturating_add(8u64.saturating_mul(aggs.len() as u64));
     table
-        .saturating_add(builders)
         .saturating_add(accs)
         .saturating_add(g64.saturating_mul(out_row_w))
 }
@@ -677,7 +673,7 @@ pub(crate) fn exchange_bounds(
 ) -> (u64, u64) {
     match plan {
         LogicalPlan::HashAgg { input, .. } => (
-            exchange_bytes(producers, partitions, chunk_bound(input, vector_size)),
+            exchange_bytes(producers, partitions, exchange_chunk(plan, vector_size)),
             tuples(bounds, input).saturating_mul(W_EXCHANGE),
         ),
         LogicalPlan::HashJoin { probe, .. } => (
@@ -715,7 +711,7 @@ pub(crate) fn exchange_chunk(plan: &LogicalPlan, vector_size: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::ops::JoinKind;
-    use crate::plan::{sum_i64, Catalog, PlanBuilder};
+    use crate::plan::{count, sum_i64, Catalog, PlanBuilder};
     use ma_vector::{ColumnBuilder, Table};
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -796,9 +792,33 @@ mod tests {
             panic!("expected agg root")
         };
         let b = agg_instance_bound(RowBounds::of(&plan).rows(&plan), input, keys, aggs);
-        // 5 groups: 64-slot floor (1024 B) + builders + accs + output
+        // 5 groups: 64-slot floor (1024 B) + accs + output
         assert!(b >= 1024, "bound {b} below the slot-array floor");
         assert!(b < 16 << 10, "bound {b} implausibly large for 5 groups");
+    }
+
+    #[test]
+    fn agg_exchange_buffers_cover_output_width_chunks() {
+        // An i16 key counted: 2-byte rows in, 2 + 8 = 10-byte rows out.
+        // The partition exchange's union buffers the output chunks, so
+        // its stage bound is sized by the wider of the two.
+        let mut k = ColumnBuilder::with_capacity(ma_vector::DataType::I16, 100);
+        for i in 0..100 {
+            k.push_i16(i % 7);
+        }
+        let t = Table::new("n", vec![("k".into(), k.finish())]).unwrap();
+        let cat = HashMap::from([("n".to_string(), Arc::new(t))]);
+        let plan = PlanBuilder::scan(&cat, "n", &["k"])
+            .hash_agg(&["k"], vec![count()], "agg")
+            .build()
+            .unwrap();
+        let LogicalPlan::HashAgg { input, .. } = &plan else {
+            panic!("expected agg root")
+        };
+        assert_eq!(chunk_bound(input, 1024), 2 * 1024);
+        assert_eq!(exchange_chunk(&plan, 1024), 10 * 1024);
+        let (bytes, _) = exchange_bounds(&RowBounds::of(&plan), &plan, 2, 2, 1024);
+        assert_eq!(bytes, exchange_bytes(2, 2, 10 * 1024));
     }
 
     #[test]

@@ -5,23 +5,25 @@
 //! `map_rehash_*` instances), finds-or-inserts group ids
 //! (`hash_insertcheck_*`, the primitive of Fig. 4e), then updates
 //! accumulators with grouped `aggr_*` primitives. One integer key uses
-//! `hash_insertcheck_u64_col`, one string key `hash_insertcheck_str_col`,
-//! and two or more keys `hash_insertcheck_multi_col`, whose table stores
-//! and compares the key columns one by one. [`StreamAggregate`] handles
-//! the ungrouped case with `aggr0_*` primitives.
+//! `hash_insertcheck_u64_col`; every other key — one string, or two or
+//! more columns — uses `hash_insertcheck_multi_col`, whose table stores
+//! and compares the key columns one by one. The group table is the only
+//! holder of the group keys: at the end of input the operator reads them
+//! back in gid (first-appearance) order at their declared types, then
+//! cuts keys and aggregates into output chunks. [`StreamAggregate`]
+//! handles the ungrouped case with `aggr0_*` primitives.
 
 use std::sync::Arc;
 
 use ma_primitives::{
     AggrCountGrouped, AggrMinMaxF64, AggrMinMaxF64Grouped, AggrMinMaxI64, AggrMinMaxI64Grouped,
     AggrSumF64, AggrSumF64Grouped, AggrSumI64, AggrSumI64Grouped, GroupInsertCheck, GroupTable,
-    MapHash, MapHashStr, MapRehash, MapRehashStr, MultiGroupInsertCheck, MultiGroupTable,
-    StrGroupInsertCheck, StrGroupTable,
+    MapHash, MapHashStr, MultiGroupInsertCheck, MultiGroupTable,
 };
-use ma_vector::{ColumnBuilder, DataChunk, DataType, SelVec, StrVec, Vector};
+use ma_vector::{DataChunk, DataType, SelVec, StrVec, Vector};
 
 use crate::adaptive::HeurKind;
-use crate::ops::{normalize_keys_i64, BoxOp, Operator, RowStore};
+use crate::ops::{chunk_bytes, into_chunks, normalize_keys_i64, BoxOp, Operator};
 use crate::{ExecError, PrimInstance, QueryContext};
 
 /// An aggregate function over an input column (by index).
@@ -225,35 +227,28 @@ impl AccBuf {
 
 // --- key handling -----------------------------------------------------------
 
+/// One key column's step of the hash pipeline: `map_hash_*` for the
+/// first key column, `map_rehash_*` (same signature) combining each
+/// further one.
 enum HashStep {
-    /// First key column, integer: hash its normalized `i64` scratch
+    /// Integer key column `c`, hashed from its normalized `i64` scratch
     /// (`keyscratch[slot]`).
-    HashI64(PrimInstance<MapHash<i64>>, usize, usize),
-    /// Subsequent integer key column: combine.
-    RehashI64(PrimInstance<MapRehash<i64>>, usize, usize),
-    /// First key column, string.
-    HashStr(PrimInstance<MapHashStr>, usize),
-    /// Subsequent string key column.
-    RehashStr(PrimInstance<MapRehashStr>, usize),
+    Int(PrimInstance<MapHash<i64>>, usize, usize),
+    /// String key column `c`.
+    Str(PrimInstance<MapHashStr>, usize),
 }
 
 enum KeyTable {
-    /// One integer key column: `GroupTable` on the normalized value.
+    /// One integer key column: `GroupTable` on the hash step's
+    /// normalized scratch.
     Int {
         table: GroupTable,
         insert: PrimInstance<GroupInsertCheck>,
-        /// Reusable `u64` view of the hash step's normalized keys.
-        keys_u64: Vec<u64>,
     },
-    /// One string key column: `StrGroupTable` (the paper's Fig. 4(e)
-    /// primitive).
-    Str {
-        table: StrGroupTable,
-        insert: PrimInstance<StrGroupInsertCheck>,
-    },
-    /// Two or more key columns: `MultiGroupTable`, comparing the integer
-    /// keys (the hash steps' normalized scratch, in `keyscratch` order)
-    /// and the string keys (`str_cols`) column by column.
+    /// Every other key — one string column, or two or more columns:
+    /// `MultiGroupTable`, comparing the integer keys (the hash steps'
+    /// normalized scratch, in `keyscratch` order) and the string keys
+    /// (`str_cols`) column by column.
     Multi {
         table: MultiGroupTable,
         insert: PrimInstance<MultiGroupInsertCheck>,
@@ -265,7 +260,6 @@ impl KeyTable {
     fn groups(&self) -> u32 {
         match self {
             KeyTable::Int { table, .. } => table.groups(),
-            KeyTable::Str { table, .. } => table.groups(),
             KeyTable::Multi { table, .. } => table.groups(),
         }
     }
@@ -273,10 +267,40 @@ impl KeyTable {
     fn bytes(&self) -> u64 {
         match self {
             KeyTable::Int { table, .. } => table.bytes(),
-            KeyTable::Str { table, .. } => table.bytes(),
             KeyTable::Multi { table, .. } => table.bytes(),
         }
     }
+
+    /// Moves the group keys out in gid order — the integer columns as
+    /// normalized `i64` in `keyscratch` order, the string columns in
+    /// `str_cols` order — leaving the table empty.
+    fn take_keys(&mut self) -> (Vec<Vec<i64>>, Vec<StrVec>) {
+        match self {
+            KeyTable::Int { table, .. } => (vec![table.take_keys()], Vec::new()),
+            KeyTable::Multi { table, .. } => table.take_keys(),
+        }
+    }
+}
+
+/// An integer group-key column at its declared type (`I16`, `I32`, else
+/// `I64`), narrowed from the table's normalized `i64` keys. Each key was
+/// read from a column of that type, so one out of range is a typed error,
+/// never a silent wrap.
+fn narrow_keys(ty: DataType, keys: Vec<i64>) -> Result<Vector, ExecError> {
+    fn narrow<T: TryFrom<i64>>(keys: &[i64], ty: DataType) -> Result<Vec<T>, ExecError> {
+        keys.iter()
+            .map(|&k| {
+                T::try_from(k).map_err(|_| {
+                    ExecError::Plan(format!("group key {k} does not fit its type {ty}"))
+                })
+            })
+            .collect()
+    }
+    Ok(match ty {
+        DataType::I16 => Vector::I16(narrow(&keys, ty)?),
+        DataType::I32 => Vector::I32(narrow(&keys, ty)?),
+        _ => Vector::I64(keys),
+    })
 }
 
 /// How many new groups to reserve room for before an insertcheck pass:
@@ -301,11 +325,11 @@ fn clamped_reserve(live: usize, groups: usize, hint: Option<usize>) -> usize {
 /// Hash aggregation: `GROUP BY group_cols` computing `specs`.
 pub struct HashAggregate {
     child: BoxOp,
-    group_cols: Vec<usize>,
+    /// Number of group-key columns: the first `keys` output columns.
+    keys: usize,
     hash_steps: Vec<HashStep>,
     key_table: KeyTable,
     accs: Vec<AccBuf>,
-    key_builders: Vec<ColumnBuilder>,
     types: Vec<DataType>,
     vector_size: usize,
     done: Option<std::vec::IntoIter<DataChunk>>,
@@ -356,53 +380,31 @@ impl HashAggregate {
         let mut int_slots = 0;
         let mut str_cols = Vec::new();
         for (k, &c) in group_cols.iter().enumerate() {
-            let is_str = in_types[c] == DataType::Str;
-            let step = match (k == 0, is_str) {
-                (true, false) => HashStep::HashI64(
-                    ctx.instance(
-                        "map_hash_i64_col",
-                        format!("{label}/map_hash"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                    int_slots,
-                ),
-                (false, false) => HashStep::RehashI64(
-                    ctx.instance(
-                        "map_rehash_i64_col",
-                        format!("{label}/map_rehash"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                    int_slots,
-                ),
-                (true, true) => HashStep::HashStr(
-                    ctx.instance(
-                        "map_hash_str_col",
-                        format!("{label}/map_hash_str"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                ),
-                (false, true) => HashStep::RehashStr(
-                    ctx.instance(
-                        "map_rehash_str_col",
-                        format!("{label}/map_rehash_str"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                ),
-            };
-            if is_str {
+            let op = if k == 0 { "hash" } else { "rehash" };
+            hash_steps.push(if in_types[c] == DataType::Str {
                 str_cols.push(c);
+                let sig = format!("map_{op}_str_col");
+                let inst = ctx.instance(&sig, format!("{label}/map_{op}_str"), HeurKind::None)?;
+                HashStep::Str(inst, c)
             } else {
                 int_slots += 1;
-            }
-            hash_steps.push(step);
+                let sig = format!("map_{op}_i64_col");
+                let inst = ctx.instance(&sig, format!("{label}/map_{op}"), HeurKind::None)?;
+                HashStep::Int(inst, c, int_slots - 1)
+            });
         }
 
         // Group table choice.
-        let key_table = if group_cols.len() > 1 {
+        let key_table = if str_cols.is_empty() && int_slots == 1 {
+            KeyTable::Int {
+                table: GroupTable::new(),
+                insert: ctx.instance(
+                    "hash_insertcheck_u64_col",
+                    format!("{label}/insertcheck_u64"),
+                    HeurKind::None,
+                )?,
+            }
+        } else {
             KeyTable::Multi {
                 table: MultiGroupTable::new(int_slots, str_cols.len()),
                 insert: ctx.instance(
@@ -411,25 +413,6 @@ impl HashAggregate {
                     HeurKind::None,
                 )?,
                 str_cols,
-            }
-        } else if int_slots == 1 {
-            KeyTable::Int {
-                table: GroupTable::new(),
-                insert: ctx.instance(
-                    "hash_insertcheck_u64_col",
-                    format!("{label}/insertcheck_u64"),
-                    HeurKind::None,
-                )?,
-                keys_u64: Vec::new(),
-            }
-        } else {
-            KeyTable::Str {
-                table: StrGroupTable::new(),
-                insert: ctx.instance(
-                    "hash_insertcheck_str_col",
-                    format!("{label}/insertcheck_str"),
-                    HeurKind::None,
-                )?,
             }
         };
 
@@ -441,18 +424,12 @@ impl HashAggregate {
         let mut types: Vec<DataType> = group_cols.iter().map(|&c| in_types[c]).collect();
         types.extend(specs.iter().map(AggSpec::out_type));
 
-        let key_builders = group_cols
-            .iter()
-            .map(|&c| ColumnBuilder::with_capacity(in_types[c], 1024))
-            .collect();
-
         Ok(HashAggregate {
             child,
-            group_cols,
+            keys: group_cols.len(),
             hash_steps,
             key_table,
             accs,
-            key_builders,
             types,
             vector_size: ctx.vector_size(),
             done: None,
@@ -465,23 +442,17 @@ impl HashAggregate {
     }
 
     /// Clamps speculative reservations to the analyzer's proven
-    /// distinct-group bound: key builders pre-allocate `min(1024, bound)`
-    /// rows, and per-chunk group-table reserves never exceed the groups
-    /// the bound still permits. Call before the first chunk is consumed.
+    /// distinct-group bound: per-chunk group-table reserves never exceed
+    /// the groups the bound still permits. Call before the first chunk is
+    /// consumed.
     pub fn with_group_bound(mut self, bound: usize) -> Self {
         self.group_hint = Some(bound);
-        let cap = bound.min(1024);
-        self.key_builders = self
-            .group_cols
-            .iter()
-            .enumerate()
-            .map(|(i, _)| ColumnBuilder::with_capacity(self.types[i], cap))
-            .collect();
         self
     }
 
     /// Attaches a byte-accounting slot; the operator records its live
-    /// table + builder + accumulator bytes after every consumed chunk.
+    /// table + accumulator bytes after every consumed chunk, and the
+    /// table plus its output chunks at emission.
     pub fn with_tracker(mut self, tracker: crate::adaptive::MemTracker) -> Self {
         self.tracker = Some(tracker);
         self
@@ -489,18 +460,11 @@ impl HashAggregate {
 
     /// Live resident bytes of the aggregation state (length-based).
     fn resident_bytes(&self) -> u64 {
-        let builders = self
-            .key_builders
-            .iter()
-            .fold(0u64, |a, b| a.saturating_add(b.bytes() as u64));
         let accs = self
             .accs
             .iter()
             .fold(0u64, |a, b| a.saturating_add(b.bytes()));
-        self.key_table
-            .bytes()
-            .saturating_add(builders)
-            .saturating_add(accs)
+        self.key_table.bytes().saturating_add(accs)
     }
 
     fn consume_chunk(&mut self, chunk: &DataChunk) -> Result<(), ExecError> {
@@ -518,21 +482,12 @@ impl HashAggregate {
         // 1. hash pipeline
         for step in &mut self.hash_steps {
             match step {
-                HashStep::HashI64(inst, c, slot) => {
+                HashStep::Int(inst, c, slot) => {
                     let keys = &mut self.keyscratch[*slot];
                     normalize_keys_i64(chunk.column(*c), keys);
                     inst.invoke(live, |f| f(hashes, keys, sel));
                 }
-                HashStep::RehashI64(inst, c, slot) => {
-                    let keys = &mut self.keyscratch[*slot];
-                    normalize_keys_i64(chunk.column(*c), keys);
-                    inst.invoke(live, |f| f(hashes, keys, sel));
-                }
-                HashStep::HashStr(inst, c) => {
-                    let keys = chunk.column(*c).as_str_vec();
-                    inst.invoke(live, |f| f(hashes, keys, sel));
-                }
-                HashStep::RehashStr(inst, c) => {
+                HashStep::Str(inst, c) => {
                     let keys = chunk.column(*c).as_str_vec();
                     inst.invoke(live, |f| f(hashes, keys, sel));
                 }
@@ -543,18 +498,8 @@ impl HashAggregate {
         let prev_groups = self.key_table.groups();
         let room = clamped_reserve(live as usize, prev_groups as usize, self.group_hint);
         let groups_now = match &mut self.key_table {
-            KeyTable::Int {
-                table,
-                insert,
-                keys_u64,
-            } => {
-                keys_u64.clear();
-                keys_u64.extend(self.keyscratch[0].iter().map(|&k| k as u64));
-                table.reserve(room);
-                insert.invoke(live, |f| f(table, hashes, keys_u64, gids, sel))
-            }
-            KeyTable::Str { table, insert } => {
-                let keys = chunk.column(self.group_cols[0]).as_str_vec();
+            KeyTable::Int { table, insert } => {
+                let keys = &self.keyscratch[0];
                 table.reserve(room);
                 insert.invoke(live, |f| f(table, hashes, keys, gids, sel))
             }
@@ -585,45 +530,7 @@ impl HashAggregate {
             }
         }
 
-        // 3. record representative key values for new groups, in gid order
-        // (insertcheck assigns fresh gids densely, in position order).
-        if groups_now > prev_groups {
-            let mut next = prev_groups;
-            let mut record = |p: usize| {
-                if gids[p] == next {
-                    for (b, &c) in self.key_builders.iter_mut().zip(&self.group_cols) {
-                        match chunk.column(c).as_ref() {
-                            Vector::I16(v) => b.push_i16(v[p]),
-                            Vector::I32(v) => b.push_i32(v[p]),
-                            Vector::I64(v) => b.push_i64(v[p]),
-                            Vector::F64(v) => b.push_f64(v[p]),
-                            Vector::Str(v) => b.push_str(v.get(p)),
-                        }
-                    }
-                    next += 1;
-                }
-                next == groups_now
-            };
-            match sel {
-                Some(s) => {
-                    for &p in s {
-                        if record(p as usize) {
-                            break;
-                        }
-                    }
-                }
-                None => {
-                    for p in 0..n {
-                        if record(p) {
-                            break;
-                        }
-                    }
-                }
-            }
-            debug_assert_eq!(next, groups_now, "dense gid assignment violated");
-        }
-
-        // 4. update accumulators
+        // 3. update accumulators
         for acc in &mut self.accs {
             acc.grow(groups_now as usize);
             acc.update(chunk, gids, sel, live);
@@ -635,34 +542,42 @@ impl HashAggregate {
         Ok(())
     }
 
-    fn finalize(&mut self) -> Vec<DataChunk> {
+    /// Reads the group keys back from the table at their declared types,
+    /// appends the finished aggregates, and cuts the columns into output
+    /// chunks — groups in gid (first-appearance) order.
+    fn finalize(&mut self) -> Result<Vec<DataChunk>, ExecError> {
         let groups = self.key_table.groups() as usize;
-        // Ensure accumulators cover groups even if zero chunks arrived.
-        for acc in &mut self.accs {
-            acc.grow(groups);
-        }
-        let mut store = RowStore::new(self.types.clone());
-        // Build one big chunk column-wise: keys then aggregates.
-        let mut cols: Vec<Arc<Vector>> = Vec::with_capacity(self.types.len());
-        for b in std::mem::take(&mut self.key_builders) {
-            let col = b.finish();
-            cols.push(Arc::new(col.slice_vector(0, groups)));
-        }
-        for acc in std::mem::take(&mut self.accs) {
-            cols.push(Arc::new(acc.finish()));
-        }
         if groups == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
-        let chunk = DataChunk::new(cols);
-        store.append(&chunk, &(0..self.types.len()).collect::<Vec<_>>());
+        let table_bytes = self.key_table.bytes();
+        let (ints, strs) = self.key_table.take_keys();
+        let (mut ints, mut strs) = (ints.into_iter(), strs.into_iter());
+        let mut cols = Vec::with_capacity(self.types.len());
+        for &ty in &self.types[..self.keys] {
+            let col = match ty {
+                DataType::Str => strs.next().map(Vector::Str),
+                _ => ints.next().map(|k| narrow_keys(ty, k)).transpose()?,
+            };
+            cols.push(col.ok_or_else(|| {
+                ExecError::Plan("group table returned fewer key columns than declared".into())
+            })?);
+        }
+        for mut acc in std::mem::take(&mut self.accs) {
+            acc.grow(groups);
+            cols.push(acc.finish());
+        }
+        let chunks = into_chunks(cols, groups, self.vector_size);
         if let Some(t) = &self.tracker {
-            // Emission phase: the table is still resident alongside the
-            // materialized output copy (covered by the bound's output
-            // term).
-            t.record(self.key_table.bytes().saturating_add(store.bytes()));
+            // Emission phase: the table's bytes (now moved into the
+            // output columns) alongside the emitted chunks — the bound's
+            // table and output terms.
+            let out = chunks
+                .iter()
+                .fold(0u64, |a, c| a.saturating_add(chunk_bytes(c)));
+            t.record(table_bytes.saturating_add(out));
         }
-        store.freeze().to_chunks(self.vector_size)
+        Ok(chunks)
     }
 }
 
@@ -672,7 +587,7 @@ impl Operator for HashAggregate {
             while let Some(chunk) = self.child.next()? {
                 self.consume_chunk(&chunk)?;
             }
-            self.done = Some(self.finalize().into_iter());
+            self.done = Some(self.finalize()?.into_iter());
         }
         Ok(self.done.as_mut().and_then(Iterator::next))
     }
@@ -877,7 +792,7 @@ mod tests {
     use crate::expr::{CmpKind, Pred, Value};
     use crate::ops::{collect, total_rows, Scan, Select};
     use ma_primitives::build_dictionary;
-    use ma_vector::Table;
+    use ma_vector::{ColumnBuilder, Table};
 
     fn ctx() -> QueryContext {
         QueryContext::new(Arc::new(build_dictionary()), ExecConfig::fixed_default())
@@ -1046,6 +961,100 @@ mod tests {
             v.push_i64((i % 4) as i64);
         }
         v.finish()
+    }
+
+    /// Groups a one-chunk-per-128-rows scan of `cols` by every column,
+    /// counting rows, at `vector_size` 1024.
+    fn group_by_all(cols: Vec<(&str, ma_vector::Column)>) -> Vec<DataChunk> {
+        let mut cfg = ExecConfig::fixed_default();
+        cfg.vector_size = 1024;
+        let ctx = QueryContext::new(Arc::new(build_dictionary()), cfg);
+        let names: Vec<String> = cols.iter().map(|(n, _)| n.to_string()).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let keys = (0..cols.len()).collect();
+        let cols = cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect();
+        let t = Arc::new(Table::new("t", cols).unwrap());
+        let scan = Box::new(Scan::new(t, &names, 128).unwrap());
+        let mut agg = HashAggregate::new(scan, keys, vec![AggSpec::CountStar], &ctx, "t").unwrap();
+        collect(&mut agg).unwrap()
+    }
+
+    #[test]
+    fn output_keys_keep_their_declared_type_and_value() {
+        let i16s = [i16::MIN, -1, 0, i16::MAX];
+        let i32s = [i32::MIN, -1, 0, i32::MAX];
+        let i64s = [i64::MIN, -1, 0, i64::MAX];
+        let strs = ["", "-1", "MED BOX", "ÿ"];
+        let column = |ty: DataType, push: &dyn Fn(&mut ColumnBuilder, usize)| {
+            let mut b = ColumnBuilder::with_capacity(ty, 400);
+            // Each of the 4 values 100 times, first appearances in order.
+            for i in 0..400 {
+                push(&mut b, i % 4);
+            }
+            b.finish()
+        };
+        let a = || column(DataType::I16, &|b, i| b.push_i16(i16s[i]));
+        let b = || column(DataType::I32, &|b, i| b.push_i32(i32s[i]));
+        let c = || column(DataType::I64, &|b, i| b.push_i64(i64s[i]));
+        let s = || column(DataType::Str, &|b, i| b.push_str(strs[i]));
+        // Each type alone (one integer key: `GroupTable`; one string key:
+        // the composite table), then all four as one composite key.
+        for cols in [
+            vec![("a", a())],
+            vec![("b", b())],
+            vec![("c", c())],
+            vec![("s", s())],
+            vec![("a", a()), ("b", b()), ("c", c()), ("s", s())],
+        ] {
+            let names: Vec<&str> = cols.iter().map(|(n, _)| *n).collect();
+            let chunks = group_by_all(cols);
+            assert_eq!(chunks.len(), 1);
+            let ch = &chunks[0];
+            assert_eq!(ch.len(), 4);
+            for (k, name) in names.iter().enumerate() {
+                let col = ch.column(k);
+                match *name {
+                    "a" => assert_eq!(col.as_i16(), i16s),
+                    "b" => assert_eq!(col.as_i32(), i32s),
+                    "c" => assert_eq!(col.as_i64(), i64s),
+                    _ => assert_eq!(col.as_str_vec().iter().collect::<Vec<_>>(), strs),
+                }
+            }
+            assert_eq!(ch.column(names.len()).as_i64(), [100; 4]);
+        }
+    }
+
+    #[test]
+    fn more_groups_than_vector_size_emit_full_chunks_in_gid_order() {
+        // 2 500 distinct keys, first seen in a scrambled order, each twice.
+        let n = 2_500;
+        let key = |i: usize| ((i % n) * 7_919 % n) as i32;
+        let mut k = ColumnBuilder::with_capacity(DataType::I32, 2 * n);
+        let mut s = ColumnBuilder::with_capacity(DataType::Str, 2 * n);
+        for i in 0..2 * n {
+            k.push_i32(key(i));
+            s.push_str(&format!("k{}", key(i)));
+        }
+        let (k, s) = (k.finish(), s.finish());
+        for (cols, str_key) in [(vec![("k", k)], false), (vec![("s", s)], true)] {
+            let chunks = group_by_all(cols);
+            let sizes: Vec<usize> = chunks.iter().map(DataChunk::len).collect();
+            assert_eq!(sizes, [1024, 1024, 452]);
+            let mut i = 0;
+            for ch in &chunks {
+                assert!(ch.sel().is_none());
+                for p in 0..ch.len() {
+                    if str_key {
+                        assert_eq!(ch.column(0).as_str_vec().get(p), format!("k{}", key(i)));
+                    } else {
+                        assert_eq!(ch.column(0).as_i32()[p], key(i));
+                    }
+                    assert_eq!(ch.column(1).as_i64()[p], 2);
+                    i += 1;
+                }
+            }
+            assert_eq!(i, n);
+        }
     }
 
     #[test]

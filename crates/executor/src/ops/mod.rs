@@ -225,21 +225,43 @@ impl FrozenStore {
             }
         }
     }
+}
 
-    /// Emits the stored rows as dense chunks of at most `vector_size` rows.
-    pub fn to_chunks(&self, vector_size: usize) -> Vec<DataChunk> {
-        let mut out = Vec::new();
-        let mut start = 0;
-        while start < self.rows {
-            let n = (self.rows - start).min(vector_size);
-            let rows: Vec<u32> = (start as u32..start.saturating_add(n) as u32).collect();
-            let cols = (0..self.cols.len())
-                .map(|i| Arc::new(self.gather(i, &rows)))
-                .collect();
-            out.push(DataChunk::new(cols));
-            start += n;
-        }
-        out
+/// Cuts full-length columns of `rows` rows into dense chunks of at most
+/// `vector_size` rows, in row order. Columns that fit one chunk move into
+/// it without a copy; otherwise each chunk copies its row range (string
+/// views keep sharing their arena).
+pub(crate) fn into_chunks(cols: Vec<Vector>, rows: usize, vector_size: usize) -> Vec<DataChunk> {
+    let vector_size = vector_size.max(1);
+    if rows == 0 {
+        return Vec::new();
+    }
+    if rows <= vector_size {
+        return vec![DataChunk::new(cols.into_iter().map(Arc::new).collect())];
+    }
+    let mut out = Vec::with_capacity(rows.div_ceil(vector_size));
+    let mut start = 0;
+    while start < rows {
+        let end = rows.min(start.saturating_add(vector_size));
+        let chunk = cols.iter().map(|c| Arc::new(slice_vector(c, start..end)));
+        out.push(DataChunk::new(chunk.collect()));
+        start = end;
+    }
+    out
+}
+
+/// Rows `range` of a column as a fresh vector; string views share the
+/// arena.
+fn slice_vector(v: &Vector, range: std::ops::Range<usize>) -> Vector {
+    match v {
+        Vector::I16(x) => Vector::I16(x[range].to_vec()),
+        Vector::I32(x) => Vector::I32(x[range].to_vec()),
+        Vector::I64(x) => Vector::I64(x[range].to_vec()),
+        Vector::F64(x) => Vector::F64(x[range].to_vec()),
+        Vector::Str(x) => Vector::Str(StrVec::from_views(
+            Arc::clone(x.arena()),
+            x.views()[range].to_vec(),
+        )),
     }
 }
 
@@ -318,7 +340,7 @@ mod tests {
         }
         let f = rs.freeze();
         assert_eq!(f.gather(0, &[4, 0]).as_i64(), &[40, 0]);
-        let chunks = f.to_chunks(2);
+        let chunks = into_chunks(vec![f.col(0).clone()], f.rows(), 2);
         assert_eq!(chunks.len(), 3);
         assert_eq!(chunks[0].column(0).as_i64(), &[0, 10]);
         assert_eq!(chunks[2].column(0).as_i64(), &[40]);

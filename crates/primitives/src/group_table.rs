@@ -3,26 +3,29 @@
 //! Hash aggregation maps each input tuple's group key to a dense *group id*.
 //! The vectorized `insertcheck` primitive takes a vector of hashes and keys,
 //! looks each up in the table, inserts new groups, and writes the group id
-//! per position — the primitive of Fig. 4(e) (`hash_insertcheck_str_col`),
-//! whose cost visibly grows with the table (cache/TLB misses).
+//! per position — the primitive of Fig. 4(e), whose cost visibly grows
+//! with the table (cache/TLB misses).
 //!
-//! Three tables: [`GroupTable`] for one integer key, [`StrGroupTable`] for
-//! one string key, and [`MultiGroupTable`] for composite keys over two or
-//! more columns, stored column-wise and compared column by column. All
-//! are open-addressing with linear probing; the *caller* must
+//! Two tables: [`GroupTable`] for one integer key, and [`MultiGroupTable`]
+//! for every other key shape — one string column, or two or more columns
+//! — stored column-wise and compared column by column. Both are
+//! open-addressing with linear probing; the *caller* must
 //! [`GroupTable::reserve`] capacity for a vector's worth of inserts
 //! before calling the primitive, so the primitive itself never rehashes
-//! (keeps its cost measurable and its loop tight).
+//! (keeps its cost measurable and its loop tight). The table is the only
+//! holder of the group keys: `take_keys` reads them back in gid order
+//! when the aggregate emits.
 
 use ma_vector::StrVec;
 
 const EMPTY: u32 = u32::MAX;
 
-/// Open-addressing hash table assigning dense group ids to `u64` keys.
+/// Open-addressing hash table assigning dense group ids to integer keys,
+/// normalized to `i64` by the caller's hash step.
 #[derive(Debug, Clone)]
 pub struct GroupTable {
     /// (key, gid) per slot; gid == EMPTY marks a free slot.
-    slots: Vec<(u64, u32)>,
+    slots: Vec<(i64, u32)>,
     mask: usize,
     groups: u32,
 }
@@ -57,7 +60,7 @@ impl GroupTable {
     /// Reported by the executor's byte-accounting facade against the
     /// memory analyzer's proven per-operator bounds.
     pub fn bytes(&self) -> u64 {
-        (self.slots.len() * std::mem::size_of::<(u64, u32)>()) as u64
+        (self.slots.len() * std::mem::size_of::<(i64, u32)>()) as u64
     }
 
     /// Ensures the table can absorb `additional` new groups while staying
@@ -73,7 +76,7 @@ impl GroupTable {
         self.mask = new_cap - 1;
         for (key, gid) in old {
             if gid != EMPTY {
-                let mut pos = crate::hashing::hash_u64(key) as usize & self.mask;
+                let mut pos = crate::hashing::hash_u64(key as u64) as usize & self.mask;
                 while self.slots[pos].1 != EMPTY {
                     pos = (pos + 1) & self.mask;
                 }
@@ -82,9 +85,11 @@ impl GroupTable {
         }
     }
 
-    /// Finds or inserts one key, returning its group id.
+    /// Finds or inserts one key, returning its group id. `hash` must be
+    /// the `map_hash_i64` hash of `key` (`hash_u64(key as u64)`), which
+    /// growth re-derives from the stored key.
     #[inline]
-    pub fn find_or_insert(&mut self, hash: u64, key: u64) -> u32 {
+    pub fn find_or_insert(&mut self, hash: u64, key: i64) -> u32 {
         let mut pos = hash as usize & self.mask;
         loop {
             let (k, gid) = self.slots[pos];
@@ -100,6 +105,19 @@ impl GroupTable {
             pos = (pos + 1) & self.mask;
         }
     }
+
+    /// Moves the keys out in gid order — one scatter over the slots — and
+    /// resets the table to empty.
+    pub fn take_keys(&mut self) -> Vec<i64> {
+        let mut keys = vec![0; self.groups as usize];
+        for &(key, gid) in &self.slots {
+            if gid != EMPTY {
+                keys[gid as usize] = key;
+            }
+        }
+        *self = GroupTable::new();
+        keys
+    }
 }
 
 /// `hash_insertcheck_u64_col`: per live position, find-or-insert the key and
@@ -107,7 +125,7 @@ impl GroupTable {
 pub type GroupInsertCheck = fn(
     table: &mut GroupTable,
     hashes: &[u64],
-    keys: &[u64],
+    keys: &[i64],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32;
@@ -116,7 +134,7 @@ pub type GroupInsertCheck = fn(
 pub fn hash_insertcheck_u64_gcc(
     table: &mut GroupTable,
     hashes: &[u64],
-    keys: &[u64],
+    keys: &[i64],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32 {
@@ -140,7 +158,7 @@ pub fn hash_insertcheck_u64_gcc(
 pub fn hash_insertcheck_u64_icc(
     table: &mut GroupTable,
     hashes: &[u64],
-    keys: &[u64],
+    keys: &[i64],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32 {
@@ -178,7 +196,7 @@ pub fn hash_insertcheck_u64_icc(
 pub fn hash_insertcheck_u64_clang(
     table: &mut GroupTable,
     hashes: &[u64],
-    keys: &[u64],
+    keys: &[i64],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32 {
@@ -192,204 +210,6 @@ pub fn hash_insertcheck_u64_clang(
         None => {
             for ((g, &h), &k) in gids.iter_mut().zip(hashes.iter()).zip(keys.iter()) {
                 *g = table.find_or_insert(h, k);
-            }
-        }
-    }
-    table.groups()
-}
-
-// ---------------------------------------------------------------------------
-// string keys
-// ---------------------------------------------------------------------------
-
-/// Open-addressing table assigning dense group ids to string keys, owning
-/// copies of the key strings.
-#[derive(Debug, Clone)]
-pub struct StrGroupTable {
-    /// (hash, sid, gid); gid == EMPTY marks free.
-    slots: Vec<(u64, u32, u32)>,
-    mask: usize,
-    groups: u32,
-    key_bytes: Vec<u8>,
-    key_views: Vec<(u32, u32)>,
-}
-
-impl Default for StrGroupTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StrGroupTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        StrGroupTable {
-            slots: vec![(0, 0, EMPTY); 64],
-            mask: 63,
-            groups: 0,
-            key_bytes: Vec::new(),
-            key_views: Vec::new(),
-        }
-    }
-
-    /// Number of distinct groups.
-    pub fn groups(&self) -> u32 {
-        self.groups
-    }
-
-    /// Resident bytes: the slot array plus stored key bytes and views.
-    /// Reported by the executor's byte-accounting facade against the
-    /// memory analyzer's proven per-operator bounds.
-    pub fn bytes(&self) -> u64 {
-        let slots = self.slots.len() * std::mem::size_of::<(u64, u32, u32)>();
-        (slots + self.key_bytes.len() + self.key_views.len() * 8) as u64
-    }
-
-    /// The group key for `gid` (valid for all assigned gids).
-    pub fn key(&self, gid: u32) -> &str {
-        let (off, len) = self.key_views[gid as usize];
-        std::str::from_utf8(&self.key_bytes[off as usize..(off + len) as usize])
-            .expect("group keys are valid UTF-8")
-    }
-
-    /// Ensures room for `additional` new groups under 50% load.
-    pub fn reserve(&mut self, additional: usize) {
-        let needed = (self.groups as usize + additional) * 2;
-        if needed <= self.slots.len() {
-            return;
-        }
-        let new_cap = needed.next_power_of_two();
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0, EMPTY); new_cap]);
-        self.mask = new_cap - 1;
-        for (hash, sid, gid) in old {
-            if gid != EMPTY {
-                let mut pos = hash as usize & self.mask;
-                while self.slots[pos].2 != EMPTY {
-                    pos = (pos + 1) & self.mask;
-                }
-                self.slots[pos] = (hash, sid, gid);
-            }
-        }
-    }
-
-    fn key_at(&self, sid: u32) -> &[u8] {
-        let (off, len) = self.key_views[sid as usize];
-        &self.key_bytes[off as usize..(off + len) as usize]
-    }
-
-    /// Finds or inserts one string key.
-    #[inline]
-    pub fn find_or_insert(&mut self, hash: u64, key: &str) -> u32 {
-        let mut pos = hash as usize & self.mask;
-        loop {
-            let (h, sid, gid) = self.slots[pos];
-            if gid == EMPTY {
-                let off = self.key_bytes.len() as u32;
-                self.key_bytes.extend_from_slice(key.as_bytes());
-                let sid = self.key_views.len() as u32;
-                self.key_views.push((off, key.len() as u32));
-                let new_gid = self.groups;
-                self.slots[pos] = (hash, sid, new_gid);
-                self.groups += 1;
-                return new_gid;
-            }
-            if h == hash && self.key_at(sid) == key.as_bytes() {
-                return gid;
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-}
-
-/// `hash_insertcheck_str_col` (Fig. 4e).
-pub type StrGroupInsertCheck = fn(
-    table: &mut StrGroupTable,
-    hashes: &[u64],
-    keys: &StrVec,
-    gids: &mut [u32],
-    sel: Option<&[u32]>,
-) -> u32;
-
-/// `gcc` style.
-pub fn hash_insertcheck_str_gcc(
-    table: &mut StrGroupTable,
-    hashes: &[u64],
-    keys: &StrVec,
-    gids: &mut [u32],
-    sel: Option<&[u32]>,
-) -> u32 {
-    match sel {
-        Some(s) => {
-            for &i in s {
-                let i = i as usize;
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
-            }
-        }
-        None => {
-            for i in 0..keys.len() {
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
-            }
-        }
-    }
-    table.groups()
-}
-
-/// `icc` style: 2-way pipelined.
-pub fn hash_insertcheck_str_icc(
-    table: &mut StrGroupTable,
-    hashes: &[u64],
-    keys: &StrVec,
-    gids: &mut [u32],
-    sel: Option<&[u32]>,
-) -> u32 {
-    match sel {
-        Some(s) => {
-            let mut j = 0;
-            while j + 2 <= s.len() {
-                let (i0, i1) = (s[j] as usize, s[j + 1] as usize);
-                gids[i0] = table.find_or_insert(hashes[i0], keys.get(i0));
-                gids[i1] = table.find_or_insert(hashes[i1], keys.get(i1));
-                j += 2;
-            }
-            if j < s.len() {
-                let i = s[j] as usize;
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
-            }
-        }
-        None => {
-            let n = keys.len();
-            let mut i = 0;
-            while i + 2 <= n {
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
-                gids[i + 1] = table.find_or_insert(hashes[i + 1], keys.get(i + 1));
-                i += 2;
-            }
-            if i < n {
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
-            }
-        }
-    }
-    table.groups()
-}
-
-/// `clang` style.
-pub fn hash_insertcheck_str_clang(
-    table: &mut StrGroupTable,
-    hashes: &[u64],
-    keys: &StrVec,
-    gids: &mut [u32],
-    sel: Option<&[u32]>,
-) -> u32 {
-    match sel {
-        Some(s) => {
-            for &i in s {
-                let i = i as usize;
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
-            }
-        }
-        None => {
-            for (i, g) in gids.iter_mut().enumerate().take(keys.len()) {
-                *g = table.find_or_insert(hashes[i], keys.get(i));
             }
         }
     }
@@ -424,16 +244,16 @@ impl StrKeys {
 }
 
 /// Open-addressing table assigning dense group ids to composite keys over
-/// several columns, compared column by column — the multi-column group-by
-/// counterpart of [`GroupTable`] and [`StrGroupTable`].
+/// one or more columns, compared column by column: every group-by except
+/// a single integer key ([`GroupTable`]).
 ///
 /// Slots hold `(hash, gid)` only; the keys live column-wise, indexed by
 /// gid: integer key columns normalized to `i64`, string key columns as
 /// one byte arena plus a view per group. Equality is order-free within
 /// each kind, so the caller passes its integer and string key columns as
 /// two lists, each in a fixed order across calls. The same
-/// caller-reserves, never-rehash-inside-the-primitive contract as the
-/// other tables applies.
+/// caller-reserves, never-rehash-inside-the-primitive contract as
+/// [`GroupTable`] applies.
 #[derive(Debug, Clone)]
 pub struct MultiGroupTable {
     /// (hash, gid) per slot; gid == EMPTY marks a free slot.
@@ -539,6 +359,20 @@ impl MultiGroupTable {
             }
             pos = (pos + 1) & self.mask;
         }
+    }
+
+    /// Moves the keys out in gid order — the integer columns as stored,
+    /// each string column's arena and views as one [`StrVec`] — and
+    /// resets the table to empty.
+    pub fn take_keys(&mut self) -> (Vec<Vec<i64>>, Vec<StrVec>) {
+        let empty = MultiGroupTable::new(self.int_keys.len(), self.str_keys.len());
+        let table = std::mem::replace(self, empty);
+        let strs = table
+            .str_keys
+            .into_iter()
+            .map(|k| StrVec::from_views(k.bytes.into(), k.views))
+            .collect();
+        (table.int_keys, strs)
     }
 
     /// Panics unless the call passes exactly the table's key columns.
@@ -668,33 +502,40 @@ mod tests {
     fn assigns_dense_stable_gids() {
         let mut t = GroupTable::new();
         let a = t.find_or_insert(hash_u64(100), 100);
-        let b = t.find_or_insert(hash_u64(200), 200);
+        let b = t.find_or_insert(hash_u64(-200i64 as u64), -200);
         let a2 = t.find_or_insert(hash_u64(100), 100);
         assert_eq!(a, 0);
         assert_eq!(b, 1);
         assert_eq!(a2, 0);
         assert_eq!(t.groups(), 2);
+        // The keys read back in gid order and leave the table empty.
+        assert_eq!(t.take_keys(), [100, -200]);
+        assert_eq!(t.groups(), 0);
+        assert_eq!(t.capacity(), 64);
     }
 
     #[test]
     fn survives_growth() {
         let mut t = GroupTable::new();
+        let keys: Vec<i64> = (0..10_000i64).map(|k| k - 5_000).collect();
         let mut gids = Vec::new();
-        for k in 0..10_000u64 {
+        for &k in &keys {
             t.reserve(1);
-            gids.push(t.find_or_insert(hash_u64(k), k));
+            gids.push(t.find_or_insert(hash_u64(k as u64), k));
         }
         assert_eq!(t.groups(), 10_000);
         // Lookups after growth return the original gids.
-        for k in 0..10_000u64 {
-            assert_eq!(t.find_or_insert(hash_u64(k), k), gids[k as usize]);
+        for (&k, &g) in keys.iter().zip(&gids) {
+            assert_eq!(t.find_or_insert(hash_u64(k as u64), k), g);
         }
+        // One scatter over the grown slot array restores gid order.
+        assert_eq!(t.take_keys(), keys);
     }
 
     #[test]
     fn insertcheck_flavors_agree() {
-        let keys: Vec<u64> = (0..512).map(|i| i % 37).collect();
-        let hashes: Vec<u64> = keys.iter().map(|&k| hash_u64(k)).collect();
+        let keys: Vec<i64> = (0..512).map(|i| i % 37 - 18).collect();
+        let hashes: Vec<u64> = keys.iter().map(|&k| hash_u64(k as u64)).collect();
         let sel: Vec<u32> = (0..512u32).filter(|i| i % 3 != 1).collect();
         for sv in [None, Some(sel.as_slice())] {
             let mut expected = vec![0u32; 512];
@@ -724,69 +565,23 @@ mod tests {
     }
 
     #[test]
-    fn str_table_roundtrips_keys() {
-        let mut t = StrGroupTable::new();
-        t.reserve(8);
-        let g1 = t.find_or_insert(hash_bytes(b"Brand#12"), "Brand#12");
-        let g2 = t.find_or_insert(hash_bytes(b"Brand#34"), "Brand#34");
-        let g1b = t.find_or_insert(hash_bytes(b"Brand#12"), "Brand#12");
-        assert_eq!(g1, g1b);
-        assert_ne!(g1, g2);
-        assert_eq!(t.key(g1), "Brand#12");
-        assert_eq!(t.key(g2), "Brand#34");
-    }
-
-    #[test]
-    fn str_insertcheck_flavors_agree() {
-        let strs: Vec<String> = (0..256).map(|i| format!("key{}", i % 19)).collect();
-        let keys = StrVec::from_strings(&strs);
-        let hashes: Vec<u64> = strs.iter().map(|s| hash_bytes(s.as_bytes())).collect();
-        let mut expected = vec![0u32; 256];
-        let mut t_ref = StrGroupTable::new();
-        t_ref.reserve(256);
-        hash_insertcheck_str_gcc(&mut t_ref, &hashes, &keys, &mut expected, None);
-        for (name, f) in [
-            ("icc", hash_insertcheck_str_icc as StrGroupInsertCheck),
-            ("clang", hash_insertcheck_str_clang),
-        ] {
-            let mut t = StrGroupTable::new();
-            t.reserve(256);
-            let mut gids = vec![0u32; 256];
-            let g = f(&mut t, &hashes, &keys, &mut gids, None);
-            assert_eq!(gids, expected, "{name}");
-            assert_eq!(g, 19, "{name}");
-        }
-    }
-
-    #[test]
-    fn str_table_survives_growth() {
-        let mut t = StrGroupTable::new();
-        for i in 0..5000 {
-            t.reserve(1);
-            let k = format!("group-{i}");
-            let gid = t.find_or_insert(hash_bytes(k.as_bytes()), &k);
-            assert_eq!(gid, i as u32);
-        }
-        assert_eq!(t.groups(), 5000);
-        assert_eq!(t.key(4321), "group-4321");
-    }
-
-    #[test]
     fn colliding_hashes_still_distinguish_keys() {
-        // Force identical hashes: both probe the same chain but must get
-        // distinct gids because the byte comparison differs.
-        let mut t = StrGroupTable::new();
+        // Force identical hashes: every key probes the same chain, and
+        // only the key comparison tells them apart.
+        let mut t = GroupTable::new();
         t.reserve(4);
-        let g1 = t.find_or_insert(42, "aaa");
-        let g2 = t.find_or_insert(42, "bbb");
-        let g1b = t.find_or_insert(42, "aaa");
-        assert_ne!(g1, g2);
+        let g1 = t.find_or_insert(42, -1);
+        let g2 = t.find_or_insert(42, i64::MAX);
+        let g3 = t.find_or_insert(42, 0);
+        let g1b = t.find_or_insert(42, -1);
+        assert_eq!([g1, g2, g3], [0, 1, 2]);
         assert_eq!(g1, g1b);
+        assert_eq!(t.take_keys(), [-1, i64::MAX, 0]);
     }
 
     // --- composite keys ---------------------------------------------------
 
-    /// The hash pipeline's combine over one row of composite keys.
+    /// A combine over one row of composite keys, like the hash pipeline's.
     fn multi_hash(ints: &[&[i64]], strs: &[&StrVec], i: usize) -> u64 {
         let h = ints.iter().fold(0u64, |h, c| {
             crate::hashing::combine_hash(h, hash_u64(c[i] as u64))
@@ -796,123 +591,198 @@ mod tests {
         })
     }
 
-    /// 512 rows over (i16-range, i32-range, i64-range) integers and a
-    /// string column including `""`: 4 × 3 × 2 × 3 = 72 distinct keys.
-    fn mixed_columns() -> (Vec<i64>, Vec<i64>, Vec<i64>, StrVec) {
-        let a: Vec<i64> = (0..512)
+    /// 512 rows of owned key columns and their distinct-key count.
+    struct Shape {
+        ints: Vec<Vec<i64>>,
+        strs: Vec<StrVec>,
+        groups: u32,
+    }
+
+    impl Shape {
+        /// Borrowed column lists, as the insertcheck primitive takes them.
+        fn cols(&self) -> (Vec<&[i64]>, Vec<&StrVec>) {
+            (
+                self.ints.iter().map(Vec::as_slice).collect(),
+                self.strs.iter().collect(),
+            )
+        }
+
+        fn hashes(&self) -> Vec<u64> {
+            let (ints, strs) = self.cols();
+            (0..512).map(|i| multi_hash(&ints, &strs, i)).collect()
+        }
+
+        fn table(&self) -> MultiGroupTable {
+            let mut t = MultiGroupTable::new(self.ints.len(), self.strs.len());
+            t.reserve(512);
+            t
+        }
+
+        /// Row `i`'s key, column by column.
+        fn key(&self, i: usize) -> (Vec<i64>, Vec<&[u8]>) {
+            (
+                self.ints.iter().map(|c| c[i]).collect(),
+                self.strs.iter().map(|c| c.get_bytes(i)).collect(),
+            )
+        }
+    }
+
+    /// The shapes every composite-table test runs: (i16-range, i32-range,
+    /// i64-range) integers plus a string column including `""` — 4 × 3 ×
+    /// 2 × 3 = 72 keys — and a lone string column, the single-string-key
+    /// group-by, whose 19 keys include `""`.
+    fn shapes() -> Vec<Shape> {
+        let a = (0..512)
             .map(|i| [i16::MIN, -1, 0, i16::MAX][i % 4] as i64)
             .collect();
-        let b: Vec<i64> = (0..512)
+        let b = (0..512)
             .map(|i| [i32::MIN, 65_535, -65_536][i % 3] as i64)
             .collect();
-        let c: Vec<i64> = (0..512)
+        let c = (0..512)
             .map(|i| [i64::MIN, i64::MAX][(i / 12) % 2])
             .collect();
         let s: Vec<&str> = (0..512)
             .map(|i| ["", "x", "MED BOX"][(i / 24) % 3])
             .collect();
-        (a, b, c, StrVec::from_strings(&s))
+        let lone: Vec<String> = (0..512)
+            .map(|i| match i % 19 {
+                0 => String::new(),
+                k => format!("key{k}"),
+            })
+            .collect();
+        vec![
+            Shape {
+                ints: vec![a, b, c],
+                strs: vec![StrVec::from_strings(&s)],
+                groups: 72,
+            },
+            Shape {
+                ints: Vec::new(),
+                strs: vec![StrVec::from_strings(&lone)],
+                groups: 19,
+            },
+        ]
     }
 
     #[test]
     fn multi_mixed_int_and_str_keys_group_exactly() {
-        let (a, b, c, s) = mixed_columns();
-        let (ints, strs) = ([a.as_slice(), b.as_slice(), c.as_slice()], [&s]);
-        let hashes: Vec<u64> = (0..512).map(|i| multi_hash(&ints, &strs, i)).collect();
-        let mut t = MultiGroupTable::new(3, 1);
-        t.reserve(512);
-        let mut gids = vec![0u32; 512];
-        assert_eq!(
-            hash_insertcheck_multi_gcc(&mut t, &hashes, &ints, &strs, &mut gids, None),
-            72
-        );
-        // Equal keys ⇔ equal gids, checked pairwise against the columns.
-        let key = |i: usize| (a[i], b[i], c[i], s.get(i));
-        for i in 0..512 {
-            for j in 0..i {
-                assert_eq!(key(i) == key(j), gids[i] == gids[j], "rows {i} and {j}");
+        for shape in shapes() {
+            let (ints, strs) = shape.cols();
+            let mut t = shape.table();
+            let mut gids = vec![0u32; 512];
+            let g =
+                hash_insertcheck_multi_gcc(&mut t, &shape.hashes(), &ints, &strs, &mut gids, None);
+            assert_eq!(g, shape.groups);
+            // Equal keys ⇔ equal gids, checked pairwise against the columns.
+            for i in 0..512 {
+                for j in 0..i {
+                    assert_eq!(
+                        shape.key(i) == shape.key(j),
+                        gids[i] == gids[j],
+                        "rows {i} and {j}"
+                    );
+                }
             }
+            // The empty string is a key like any other.
+            assert!((0..512).any(|i| shape.strs[0].get(i).is_empty()));
+            // The keys read back by gid are every row's own key.
+            let (int_keys, str_keys) = t.take_keys();
+            for (i, &g) in gids.iter().enumerate() {
+                let g = g as usize;
+                let back: (Vec<i64>, Vec<&[u8]>) = (
+                    int_keys.iter().map(|c| c[g]).collect(),
+                    str_keys.iter().map(|c| c.get_bytes(g)).collect(),
+                );
+                assert_eq!(back, shape.key(i), "row {i}");
+            }
+            assert_eq!(t.groups(), 0, "take_keys leaves the table empty");
         }
-        // The empty string is a key like any other.
-        assert!((0..512).any(|i| s.get(i).is_empty()));
     }
 
     #[test]
     fn multi_gids_are_dense_in_position_order() {
-        let (a, b, c, s) = mixed_columns();
-        let (ints, strs) = ([a.as_slice(), b.as_slice(), c.as_slice()], [&s]);
-        let hashes: Vec<u64> = (0..512).map(|i| multi_hash(&ints, &strs, i)).collect();
         let sel: Vec<u32> = (0..512u32).filter(|i| i % 5 != 2).collect();
-        for sv in [None, Some(sel.as_slice())] {
-            let mut t = MultiGroupTable::new(3, 1);
-            t.reserve(512);
-            let mut gids = vec![u32::MAX; 512];
-            let groups = hash_insertcheck_multi_icc(&mut t, &hashes, &ints, &strs, &mut gids, sv);
-            // The first occurrence of each new key gets the next gid.
-            let mut next = 0;
-            let live: Vec<usize> = match sv {
-                Some(s) => s.iter().map(|&i| i as usize).collect(),
-                None => (0..512).collect(),
-            };
-            for p in live {
-                assert!(gids[p] <= next, "gid {} skips ahead of {next}", gids[p]);
-                if gids[p] == next {
-                    next += 1;
+        for shape in shapes() {
+            let (ints, strs) = shape.cols();
+            let hashes = shape.hashes();
+            for sv in [None, Some(sel.as_slice())] {
+                let mut t = shape.table();
+                let mut gids = vec![u32::MAX; 512];
+                let groups =
+                    hash_insertcheck_multi_icc(&mut t, &hashes, &ints, &strs, &mut gids, sv);
+                // The first occurrence of each new key gets the next gid.
+                let mut next = 0;
+                let live: Vec<usize> = match sv {
+                    Some(s) => s.iter().map(|&i| i as usize).collect(),
+                    None => (0..512).collect(),
+                };
+                for p in live {
+                    assert!(gids[p] <= next, "gid {} skips ahead of {next}", gids[p]);
+                    if gids[p] == next {
+                        next += 1;
+                    }
                 }
+                assert_eq!(next, groups);
             }
-            assert_eq!(next, groups);
         }
     }
 
     #[test]
     fn multi_sel_and_dense_paths_agree() {
-        let (a, b, c, s) = mixed_columns();
-        let (ints, strs) = ([a.as_slice(), b.as_slice(), c.as_slice()], [&s]);
-        let hashes: Vec<u64> = (0..512).map(|i| multi_hash(&ints, &strs, i)).collect();
         let all: Vec<u32> = (0..512).collect();
-        let mut dense = vec![0u32; 512];
-        let mut t = MultiGroupTable::new(3, 1);
-        t.reserve(512);
-        hash_insertcheck_multi_clang(&mut t, &hashes, &ints, &strs, &mut dense, None);
-        let mut via_sel = vec![0u32; 512];
-        let mut t2 = MultiGroupTable::new(3, 1);
-        t2.reserve(512);
-        hash_insertcheck_multi_clang(&mut t2, &hashes, &ints, &strs, &mut via_sel, Some(&all));
-        assert_eq!(dense, via_sel);
-        assert_eq!(t.groups(), t2.groups());
-        assert_eq!(t.bytes(), t2.bytes());
+        for shape in shapes() {
+            let (ints, strs) = shape.cols();
+            let hashes = shape.hashes();
+            let mut dense = vec![0u32; 512];
+            let mut t = shape.table();
+            hash_insertcheck_multi_clang(&mut t, &hashes, &ints, &strs, &mut dense, None);
+            let mut via_sel = vec![0u32; 512];
+            let mut t2 = shape.table();
+            hash_insertcheck_multi_clang(&mut t2, &hashes, &ints, &strs, &mut via_sel, Some(&all));
+            assert_eq!(dense, via_sel);
+            assert_eq!(t.groups(), t2.groups());
+            assert_eq!(t.bytes(), t2.bytes());
+        }
     }
 
     #[test]
     fn multi_insertcheck_flavors_agree() {
-        let (a, b, c, s) = mixed_columns();
-        let (ints, strs) = ([a.as_slice(), b.as_slice(), c.as_slice()], [&s]);
-        let hashes: Vec<u64> = (0..512).map(|i| multi_hash(&ints, &strs, i)).collect();
         let sel: Vec<u32> = (0..512u32).filter(|i| i % 3 != 1).collect();
-        for sv in [None, Some(sel.as_slice())] {
-            let mut expected = vec![0u32; 512];
-            let mut t_ref = MultiGroupTable::new(3, 1);
-            t_ref.reserve(512);
-            let g_ref =
-                hash_insertcheck_multi_gcc(&mut t_ref, &hashes, &ints, &strs, &mut expected, sv);
-            for (name, f) in [
-                ("icc", hash_insertcheck_multi_icc as MultiGroupInsertCheck),
-                ("clang", hash_insertcheck_multi_clang),
-            ] {
-                let mut t = MultiGroupTable::new(3, 1);
-                t.reserve(512);
-                let mut gids = vec![0u32; 512];
-                assert_eq!(
-                    f(&mut t, &hashes, &ints, &strs, &mut gids, sv),
-                    g_ref,
-                    "{name}"
+        for shape in shapes() {
+            let (ints, strs) = shape.cols();
+            let hashes = shape.hashes();
+            for sv in [None, Some(sel.as_slice())] {
+                let mut expected = vec![0u32; 512];
+                let mut t_ref = shape.table();
+                let g_ref = hash_insertcheck_multi_gcc(
+                    &mut t_ref,
+                    &hashes,
+                    &ints,
+                    &strs,
+                    &mut expected,
+                    sv,
                 );
-                let live: Vec<usize> = match sv {
-                    Some(s) => s.iter().map(|&i| i as usize).collect(),
-                    None => (0..512).collect(),
-                };
-                for i in live {
-                    assert_eq!(gids[i], expected[i], "{name} at {i}");
+                if sv.is_none() {
+                    assert_eq!(g_ref, shape.groups);
+                }
+                for (name, f) in [
+                    ("icc", hash_insertcheck_multi_icc as MultiGroupInsertCheck),
+                    ("clang", hash_insertcheck_multi_clang),
+                ] {
+                    let mut t = shape.table();
+                    let mut gids = vec![0u32; 512];
+                    assert_eq!(
+                        f(&mut t, &hashes, &ints, &strs, &mut gids, sv),
+                        g_ref,
+                        "{name}"
+                    );
+                    let live: Vec<usize> = match sv {
+                        Some(s) => s.iter().map(|&i| i as usize).collect(),
+                        None => (0..512).collect(),
+                    };
+                    for i in live {
+                        assert_eq!(gids[i], expected[i], "{name} at {i}");
+                    }
                 }
             }
         }
@@ -939,33 +809,50 @@ mod tests {
         );
         assert_eq!(g, 4);
         assert_eq!(gids, [0, 1, 2, 3, 0]);
+
+        // A lone string column, `""` included.
+        let s = StrVec::from_strings(&["aaa", "bbb", "", "aaa", ""]);
+        let mut t = MultiGroupTable::new(0, 1);
+        t.reserve(5);
+        let g = hash_insertcheck_multi_gcc(&mut t, &[42; 5], &[], &[&s], &mut gids, None);
+        assert_eq!(g, 3);
+        assert_eq!(gids, [0, 1, 2, 0, 2]);
+        let (ints, strs) = t.take_keys();
+        assert!(ints.is_empty());
+        assert_eq!(strs[0].iter().collect::<Vec<_>>(), ["aaa", "bbb", ""]);
     }
 
     #[test]
     fn multi_gids_survive_growth() {
         let n = 5000;
         let a: Vec<i64> = (0..n).map(|i| i as i64 % 97).collect();
-        let strs: Vec<String> = (0..n).map(|i| format!("g{}", i / 97)).collect();
-        let s = StrVec::from_strings(&strs);
-        let (ints, sv) = ([a.as_slice()], [&s]);
-        let hashes: Vec<u64> = (0..n).map(|i| multi_hash(&ints, &sv, i)).collect();
-        let mut t = MultiGroupTable::new(1, 1);
-        let mut first = vec![0u32; n];
-        for i in 0..n {
-            t.reserve(1);
-            first[i] = t.find_or_insert(hashes[i], &ints, &sv, i);
+        let g: Vec<String> = (0..n).map(|i| format!("g{}", i / 97)).collect();
+        let lone: Vec<String> = (0..n).map(|i| format!("group-{i}")).collect();
+        // (i mod 97, i / 97) and `group-i` are unique per row.
+        for (ints, s) in [(vec![a.as_slice()], g), (Vec::new(), lone)] {
+            let s = StrVec::from_strings(&s);
+            let sv = [&s];
+            let hashes: Vec<u64> = (0..n).map(|i| multi_hash(&ints, &sv, i)).collect();
+            let mut t = MultiGroupTable::new(ints.len(), 1);
+            for (i, &h) in hashes.iter().enumerate() {
+                t.reserve(1);
+                assert_eq!(t.find_or_insert(h, &ints, &sv, i) as usize, i);
+            }
+            assert_eq!(t.groups() as usize, n);
+            assert!(t.bytes() > 64 * 16, "the slot array grew");
+            // Lookups after growth return the gids assigned before it.
+            for (i, &h) in hashes.iter().enumerate() {
+                assert_eq!(t.find_or_insert(h, &ints, &sv, i) as usize, i);
+            }
+            assert_eq!(t.groups() as usize, n);
+            // Gid i is row i, so the read-back equals the input columns.
+            let (int_keys, str_keys) = t.take_keys();
+            assert!(int_keys.iter().zip(&ints).all(|(k, c)| k == c));
+            assert_eq!(
+                str_keys[0].iter().collect::<Vec<_>>(),
+                s.iter().collect::<Vec<_>>()
+            );
         }
-        assert_eq!(
-            t.groups() as usize,
-            n,
-            "(i mod 97, i / 97) is unique per row"
-        );
-        assert!(t.bytes() > 64 * 16, "the slot array grew");
-        // Lookups after growth return the gids assigned before it.
-        for i in 0..n {
-            assert_eq!(t.find_or_insert(hashes[i], &ints, &sv, i), first[i]);
-        }
-        assert_eq!(t.groups() as usize, n);
     }
 
     #[test]
@@ -978,6 +865,12 @@ mod tests {
         // 64 slots × 16 B, 2 groups × 8 B of i64 keys, 3 string bytes
         // plus 2 × 8 B views.
         assert_eq!(t.bytes(), 64 * 16 + 2 * 8 + 3 + 2 * 8);
+        // A lone string column stores the same slots, bytes and views.
+        let mut t = MultiGroupTable::new(0, 1);
+        hash_insertcheck_multi_gcc(&mut t, &[1, 2], &[], &[&s], &mut gids, None);
+        assert_eq!(t.bytes(), 64 * 16 + 3 + 2 * 8);
+        t.take_keys();
+        assert_eq!(t.bytes(), 64 * 16, "take_keys leaves an empty table");
     }
 
     #[test]

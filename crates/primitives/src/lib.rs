@@ -15,7 +15,7 @@
 //! | [`hashing`] | vectorized hash / rehash | compiler styles |
 //! | [`bloom`] | bloom filter + `sel_bloomfilter` | fused / loop-fission (§2 Listings 5–6, Fig. 6) |
 //! | [`decode`] | compressed-column decode (`decode_for_*`, `decode_delta_i32`, `decode_dict_str`) | branching / no-branching, fused / fission, hand-unroll |
-//! | [`group_table`] | `hash_insertcheck_{u64,str}` (Fig. 4e) for one key; `hash_insertcheck_multi` for composite keys, compared column-wise | compiler styles |
+//! | [`group_table`] | `hash_insertcheck_u64` (Fig. 4e) for one integer key; `hash_insertcheck_multi` for every other key (one string, or composite), compared column-wise | compiler styles |
 //! | [`aggregate`] | grouped & ungrouped sums/counts/min/max (incl. `sum128`) | compiler styles |
 //! | [`registry`] | [`registry::build_dictionary`] wires everything into a [`ma_core::PrimitiveDictionary`] | |
 //!
@@ -37,7 +37,7 @@ pub mod registry;
 pub mod selection;
 
 pub use bloom::BloomFilter;
-pub use group_table::{GroupTable, MultiGroupTable, StrGroupTable};
+pub use group_table::{GroupTable, MultiGroupTable};
 pub use like::LikePattern;
 pub use registry::build_dictionary;
 
@@ -48,7 +48,7 @@ pub use aggregate::{
 };
 pub use bloom::SelBloom;
 pub use decode::{DecodeDeltaCol, DecodeDictCol, DecodeForCol};
-pub use group_table::{GroupInsertCheck, MultiGroupInsertCheck, StrGroupInsertCheck};
+pub use group_table::{GroupInsertCheck, MultiGroupInsertCheck};
 pub use hashing::{MapHash, MapHashStr, MapRehash, MapRehashStr};
 pub use like::SelLike;
 pub use map_arith::{MapCast, MapColCol, MapColVal};

@@ -425,15 +425,6 @@ pub fn build_dictionary() -> PrimitiveDictionary {
         ],
     ));
     d.register(FlavorSet::from_parts(
-        "hash_insertcheck_str_col",
-        vec![fi("gcc", C), fi("icc", C), fi("clang", C)],
-        vec![
-            hash_insertcheck_str_gcc as StrGroupInsertCheck,
-            hash_insertcheck_str_icc,
-            hash_insertcheck_str_clang,
-        ],
-    ));
-    d.register(FlavorSet::from_parts(
         "hash_insertcheck_multi_col",
         vec![fi("gcc", C), fi("icc", C), fi("clang", C)],
         vec![
@@ -558,7 +549,7 @@ mod tests {
             "map_hash_i64_col",
             "sel_bloomfilter",
             "mergejoin_i64_col_i64_col",
-            "hash_insertcheck_str_col",
+            "hash_insertcheck_u64_col",
             "hash_insertcheck_multi_col",
             "aggr_sum128_i64_col",
             "aggr0_sum_f64_col",

@@ -130,12 +130,6 @@ const NARROW_CAST_ALLOWLIST: &[(&str, usize, &str)] = &[
          definition)",
     ),
     (
-        "crates/primitives/src/group_table.rs",
-        3,
-        "arena offsets/lengths stored as (u32, u32) views — the arena is \
-         bounded far below 4 GiB by the vector-at-a-time memory model",
-    ),
-    (
         "crates/primitives/src/like.rs",
         2,
         "u32 selection-vector writes, positions < vector_size",
@@ -159,9 +153,9 @@ const NARROW_CAST_ALLOWLIST: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/executor/src/ops/mod.rs",
-        4,
-        "row-store (offset, len) string views and u32 chunk row ranges, both \
-         bounded by the store's u32 row-id design width",
+        2,
+        "row-store (offset, len) string views, bounded by the store's u32 \
+         row-id design width",
     ),
     (
         "crates/executor/src/ops/sort.rs",

@@ -22,7 +22,7 @@ fn main() {
         "sel_lt_i32_col_val",
         "map_mul_i64_col_col",
         "sel_bloomfilter",
-        "hash_insertcheck_str_col",
+        "hash_insertcheck_multi_col",
         "mergejoin_i64_col_i64_col",
     ] {
         let set = dict.lookup::<SelColVal<i32>>("sel_lt_i32_col_val").unwrap();
